@@ -15,7 +15,11 @@ One run is one process on one thread. It imports the simulator from
   the import time plus the median of those three, so it carries the
   cold-cache cost. Warm passes then repeat for ``--seconds`` (at least
   two); ``host_wall_s`` is the median host time of the simulation in
-  one warm pass, build and input generation excluded.
+  one warm pass, build and input generation excluded. Both are given
+  at the reference speed of :mod:`reference`, which samples the host's
+  speed all through every timed phase; the report lines also give them
+  as measured (``host_wall_raw_s``, ``setup_raw_s``) and the host's
+  median speed against the reference (``host_speed``).
 * ``--trace 1`` (traced run). After one cold pass, untraced and traced
   warm passes alternate for ``--seconds``. The traced ones run with the
   wrappers of :mod:`trace` installed; the run reports the per-layer
@@ -38,35 +42,35 @@ CPU count). ``--out FILE`` also saves the full record for
 
 from __future__ import annotations
 
+import argparse
+import gc
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
-_T0 = time.perf_counter()
-
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-from typing import Dict, List, Optional  # noqa: E402
+from reference import PROBE_S, SpeedProbe
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 #: Cold starts timed for ``setup_s``; least warm passes for ``host_wall_s``.
 SETUP_ROUNDS = 3
 MIN_PASSES = 2
-#: perf_counter reading once the simulator is imported (set in __main__).
-_IMPORTED = _T0
 
 #: Unit of every end-to-end and simulated metric the report prints.
 E2E_UNITS = {
     "host_wall_s": "s",
     "setup_s": "s",
     "peak_rss_mb": "MB",
+    "host_wall_raw_s": "s",
+    "setup_raw_s": "s",
+    "host_speed": "ratio",
     "sim_norm_latency_s": "s/tok",
     "sim_throughput_tok_s": "tok/s",
     "sim_overhead_vs_nocc": "ratio",
@@ -129,16 +133,21 @@ class Run:
         self.seed = seed
         self.passes: List = []
 
-    def one(self, timed_setup: bool = False, tracer=None):
+    def one(self, timed_setup: bool = False, tracer=None, probe=None):
         """Build and run one pass; returns (pass, host seconds).
 
         The seconds cover the simulation only, or with ``timed_setup``
-        also the build and input generation.
+        also the build and input generation; ``probe`` gauges the
+        host's speed over the same span.
         """
         gc.collect()  # garbage of earlier passes is not this pass's cost
         start = time.perf_counter()
+        if probe is not None:
+            probe.start()
         run = self.workload.prepare(self.seed)
         if not timed_setup:
+            if probe is not None:
+                probe.start()
             start = time.perf_counter()
         if tracer is None:
             result = run()
@@ -154,6 +163,8 @@ class Run:
                     tracer.exit()
             finally:
                 uninstall()
+        if probe is not None:
+            probe.stop()
         elapsed = time.perf_counter() - start
         self.passes.append(result)
         return result, elapsed
@@ -170,26 +181,43 @@ class Run:
         return failed
 
 
-def run_timed(workload, seed: int, seconds: float) -> dict:
+def run_timed(workload, seed: int, seconds: float, probe: SpeedProbe,
+              import_s: Tuple[float, float] = (0.0, 0.0)) -> dict:
+    """Cold set-ups, then warm passes for ``seconds``.
+
+    ``import_s`` is the (measured, scaled) time the simulator took to
+    import; every phase is timed as measured and at the probe's
+    reference speed.
+    """
     bench = Run(workload, seed)
-    import_s = _IMPORTED - _T0
-    setups = []
+    setups, walls = [], []
     for _ in range(SETUP_ROUNDS):
         clear_memo_caches()
-        setups.append(bench.one(timed_setup=True)[1])
-    walls = []
+        elapsed = bench.one(timed_setup=True, probe=probe)[1]
+        setups.append((elapsed, probe.scaled(elapsed)))
     began = time.perf_counter()
+    speeds = []
     while len(walls) < MIN_PASSES or time.perf_counter() - began < seconds:
-        walls.append(bench.one()[1])
+        elapsed = bench.one(probe=probe)[1]
+        walls.append((elapsed, probe.scaled(elapsed)))
+        speeds.extend(PROBE_S / s for s in probe.samples)
+
+    def median(phases, which: int) -> float:
+        return statistics.median(phase[which] for phase in phases)
+
     return {
         "bench": bench,
         "host": {
-            "host_wall_s": statistics.median(walls),
-            "setup_s": import_s + statistics.median(setups),
+            "host_wall_s": median(walls, 1),
+            "setup_s": import_s[1] + median(setups, 1),
             "peak_rss_mb": peak_rss_mb(),
+            "host_wall_raw_s": median(walls, 0),
+            "setup_raw_s": import_s[0] + median(setups, 0),
+            "host_speed": statistics.median(speeds),
         },
         "host_samples": {"host_wall_s": len(walls), "setup_s": len(setups),
-                         "peak_rss_mb": 1},
+                         "peak_rss_mb": 1, "host_wall_raw_s": len(walls),
+                         "setup_raw_s": len(setups), "host_speed": len(speeds)},
         "detail": {"import_s": import_s, "setup_rounds_s": setups, "walls_s": walls},
     }
 
@@ -303,7 +331,8 @@ def _print_metric(name: str, value: float, unit: str, samples: Optional[int]) ->
 
 
 def run_workload(name: str, seed: int, seconds: float, traced: bool,
-                 out: Optional[Path]) -> int:
+                 out: Optional[Path], probe: Optional[SpeedProbe] = None,
+                 import_s: Tuple[float, float] = (0.0, 0.0)) -> int:
     from workloads import WORKLOADS
 
     spec = _benchmark_spec()
@@ -314,7 +343,7 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool,
     if traced:
         record = run_traced(workload, seed, seconds, ROOT / ".perfbench")
     else:
-        record = run_timed(workload, seed, seconds)
+        record = run_timed(workload, seed, seconds, probe or SpeedProbe(), import_s)
     bench = record.pop("bench")
     gates = bench.gates()
     last = bench.passes[-1]
@@ -378,7 +407,8 @@ def run_all(args) -> int:
     return status
 
 
-def main(argv=None) -> int:
+def main(argv=None, probe: Optional[SpeedProbe] = None,
+         import_s: Tuple[float, float] = (0.0, 0.0)) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--workload", required=True,
                         help="offload, serve, disagg, tp or all")
@@ -390,10 +420,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workload == "all":
         return run_all(args)
-    return run_workload(args.workload, args.seed, args.seconds, bool(args.trace), args.out)
+    return run_workload(args.workload, args.seed, args.seconds, bool(args.trace),
+                        args.out, probe, import_s)
 
 
 if __name__ == "__main__":
+    _probe = SpeedProbe()
+    _began = time.perf_counter()
+    _probe.start()
     _load_repro()
-    _IMPORTED = time.perf_counter()
-    sys.exit(main())
+    _probe.stop()
+    _imported = time.perf_counter() - _began
+    sys.exit(main(probe=_probe, import_s=(_imported, _probe.scaled(_imported))))
