@@ -71,8 +71,9 @@ takes to generate changes. Measured on the standard bench suite
 | fast (default)               |     1.72 s |     3.4x |
 
 On a crypto-dominated workload (handshakes + bulk AES-GCM traffic,
-`tests/bench/test_wallclock.py`) the fast profile is ~19x faster
-with the numpy backend; the test pins a 5x floor.
+`tests/bench/test_wallclock.py`) the fast profile is ~270x faster
+with the `cryptography` backend on a 2-vCPU guest; the test pins a
+5x floor.
 """
 
 SECTIONS = [

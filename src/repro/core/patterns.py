@@ -87,6 +87,14 @@ class RepetitiveDetector(_ScoredDetector):
     Maintains the swap-in history and finds the smallest period ``p``
     such that the tail of the history is ``p``-periodic. The next
     swap-in is then the element one period back.
+
+    The smallest period is ``n - border``, where ``border`` is the
+    longest proper border of the history, read off the KMP prefix
+    function kept next to it. A period needs ``n - p >= max(min_confirm,
+    1)`` confirming entries, which holds for the smallest period iff it
+    holds for any. The prefix function extends in amortised O(1) per
+    swap-in until the window fills, then is rebuilt in one O(n) pass
+    per eviction; the period is computed once per swap-in.
     """
 
     name = "repetitive"
@@ -94,7 +102,9 @@ class RepetitiveDetector(_ScoredDetector):
     def __init__(self, max_history: int = 512, min_confirm: int = 1) -> None:
         super().__init__()
         self._history: Deque[ChunkKey] = deque(maxlen=max_history)
-        self._min_confirm = min_confirm
+        self._min_confirm = max(min_confirm, 1)
+        self._prefix: List[int] = []  # KMP prefix function of _history.
+        self._period: Optional[int] = None  # Smallest confirmed period.
 
     def observe_swap_out(self, key: ChunkKey) -> None:
         # Offloaded weights never change residency mid-run; swap-outs
@@ -102,34 +112,40 @@ class RepetitiveDetector(_ScoredDetector):
         pass
 
     def observe_swap_in(self, key: ChunkKey) -> None:
-        self._grade(self._next(), key)
-        self._history.append(key)
-
-    def _period(self) -> Optional[int]:
-        history = list(self._history)
-        n = len(history)
-        for period in range(1, n - 1 + 1):
-            confirmed = n - period
-            if confirmed < self._min_confirm:
-                continue
-            if all(history[i] == history[i - period] for i in range(period, n)):
-                return period
-        return None
-
-    def _next(self, ahead: int = 0) -> Optional[ChunkKey]:
-        period = self._period()
-        if period is None:
-            return None
-        history = list(self._history)
-        return history[len(history) - period + (ahead % period)]
+        history, period = self._history, self._period
+        self._grade(None if period is None else history[-period], key)
+        if len(history) == history.maxlen:
+            # Evicting the oldest key shifts every index: rebuild.
+            history.append(key)
+            self._prefix = []
+            _extend_prefix(list(history), self._prefix)
+        else:
+            history.append(key)
+            _extend_prefix(history, self._prefix)
+        border = self._prefix[-1]
+        self._period = len(history) - border if border >= self._min_confirm else None
 
     def predict(self, count: int) -> List[ChunkKey]:
-        period = self._period()
+        period = self._period
         if period is None:
             return []
-        history = list(self._history)
-        cycle = history[-period:]
-        return [cycle[i % period] for i in range(count)]
+        return [self._history[i % period - period] for i in range(count)]
+
+
+def _extend_prefix(text: Sequence[ChunkKey], prefix: List[int]) -> None:
+    """Extend a KMP prefix function of a prefix of ``text`` to all of it.
+
+    ``prefix[i]`` is the length of the longest proper border of
+    ``text[: i + 1]``; each appended entry costs amortised O(1).
+    """
+    border = prefix[-1] if prefix else 0
+    for index in range(len(prefix), len(text)):
+        key = text[index]
+        while border and text[border] != key:
+            border = prefix[border - 1]
+        if index and text[border] == key:
+            border += 1
+        prefix.append(border)
 
 
 class _PoolDetector(_ScoredDetector):

@@ -15,7 +15,14 @@ from .handshake import (
     derive_link_session,
     hkdf,
 )
-from .gcm import AesGcm, AuthenticationError, TAG_SIZE, iv_from_counter
+from .gcm import (
+    AesGcm,
+    AuthenticationError,
+    IvDesyncError,
+    PayloadCorruptionError,
+    TAG_SIZE,
+    iv_from_counter,
+)
 from .ivstream import IvExhaustedError, IvStream
 from .session import EncryptedMessage, SecureSession, SessionEndpoint, tamper_tag
 
@@ -35,8 +42,10 @@ __all__ = [
     "AuthenticationError",
     "BLOCK_SIZE",
     "EncryptedMessage",
+    "IvDesyncError",
     "IvExhaustedError",
     "IvStream",
+    "PayloadCorruptionError",
     "SecureSession",
     "SessionEndpoint",
     "tamper_tag",

@@ -19,7 +19,14 @@ from typing import Optional, Tuple
 
 from .aes import AES, BLOCK_SIZE
 
-__all__ = ["AesGcm", "AuthenticationError", "TAG_SIZE", "iv_from_counter"]
+__all__ = [
+    "AesGcm",
+    "AuthenticationError",
+    "IvDesyncError",
+    "PayloadCorruptionError",
+    "TAG_SIZE",
+    "iv_from_counter",
+]
 
 TAG_SIZE = 16
 _R = 0xE1000000000000000000000000000000  # GHASH reduction polynomial.
@@ -34,6 +41,19 @@ class AuthenticationError(Exception):
     """
 
 
+class IvDesyncError(Exception):
+    """Raised when a staged ciphertext's IV is not the one committed.
+
+    A staged (pre-encrypted) chunk is sealed under the IV the sender
+    predicts it will consume; shipping it under any other counter
+    would desynchronize the two ends of the stream.
+    """
+
+
+class PayloadCorruptionError(Exception):
+    """Raised when an authenticated round trip returns different bytes."""
+
+
 def iv_from_counter(counter: int) -> bytes:
     """Map the channel's integer IV counter to a 96-bit GCM nonce.
 
@@ -44,20 +64,6 @@ def iv_from_counter(counter: int) -> bytes:
     if counter < 0 or counter >= 1 << 96:
         raise ValueError("IV counter out of range for a 96-bit nonce")
     return counter.to_bytes(12, "big")
-
-
-def _ghash_mul(x: int, h: int) -> int:
-    """Multiply two elements of GF(2^128) per SP 800-38D §6.3."""
-    z = 0
-    v = h
-    for i in range(127, -1, -1):
-        if (x >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ _R
-        else:
-            v >>= 1
-    return z
 
 
 def _int_from_block(block: bytes) -> int:

@@ -57,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.classify import SwapClass, TransferClassifier
 from ..core.predictor import SwapPredictor
-from ..crypto import derive_link_session
+from ..crypto import IvDesyncError, PayloadCorruptionError, derive_link_session
 from ..faults.policies import DegradationController, FaultPolicy
 from ..hw import MB, HardwareParams
 from ..sim import Simulator
@@ -329,7 +329,8 @@ class MigrationFabric:
                     payload, predicted, nbytes_logical=self.chunk_bytes
                 )
                 committed = link.tx.commit_tx_iv()
-                assert committed == predicted, "staged migration IV desynced"
+                if committed != predicted:
+                    raise IvDesyncError(f"staged IV {predicted}, committed {committed}")
             else:
                 # Serialized: inline encryption consumes the next IV
                 # on the spot; any discarded staged ciphertext never
@@ -353,7 +354,8 @@ class MigrationFabric:
                 break
             if message is not None:
                 plain = link.rx.decrypt_next(message)
-                assert plain == payload, "migrated KV chunk corrupted"
+                if plain != payload:
+                    raise PayloadCorruptionError(f"KV chunk {index} of {creq.rid}")
             record.delivered += 1
             record.hits += int(staged)
             record.misses += int(message is not None and not staged)

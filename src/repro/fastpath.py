@@ -12,8 +12,7 @@ single switch for that machinery:
   :func:`repro.crypto.backend.make_gcm` hands out. ``"reference"`` is
   the pure-Python table-driven implementation pinned to the NIST CAVP
   vectors; ``"fast"`` auto-detects the quickest available backend
-  (``cryptography`` hardware AES-GCM, then the numpy-batched
-  T-table implementation, then reference). The differential suite in
+  (``cryptography`` hardware AES-GCM, then reference). The differential suite in
   ``tests/crypto/test_backend_equivalence.py`` proves every backend
   produces byte-identical ciphertext and tags.
 * ``queue`` — the event-queue implementation in
@@ -75,7 +74,7 @@ class FastPathConfig:
     """One resolved fast-path profile."""
 
     name: str
-    crypto_backend: str      # "reference" | "fast" | "numpy" | "cryptography"
+    crypto_backend: str      # "reference" | "fast" | "cryptography"
     queue: str               # "heap" | "fast"
     tier_threshold: int      # 0 disables payload tiering
     short_dh_exponent: bool

@@ -59,10 +59,6 @@ class CryptoEngine:
 
     # -- encryption ------------------------------------------------------
 
-    def encrypt_service_time(self, nbytes: int, ways: int = 1) -> float:
-        """Pure service time for encrypting ``nbytes`` split ``ways``-wide."""
-        return self.params.enc_time(nbytes, threads=ways)
-
     def submit_encrypt(self, nbytes: int, urgent: bool = False) -> Event:
         """Queue one chunk on one encryption worker; event on completion."""
         self.bytes_encrypted += nbytes
@@ -136,14 +132,6 @@ class CryptoEngine:
         return self.sim.all_of(slices)
 
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def enc_queue_len(self) -> int:
-        return self._enc_pool.queue_len
-
-    @property
-    def dec_queue_len(self) -> int:
-        return self._dec_pool.queue_len
 
     def utilization(self, horizon: float) -> float:
         """Fraction of total worker-seconds spent busy up to ``horizon``."""

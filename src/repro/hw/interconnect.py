@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto import SessionEndpoint, derive_link_session
+from ..crypto import IvDesyncError, SessionEndpoint, derive_link_session
 from ..sim import BandwidthPipe, Event, Simulator
 from ..telemetry import LinkEvent
 from ..tracing import active_collector
@@ -322,7 +322,8 @@ class Interconnect:
                 plain, predicted, nbytes_logical=nbytes
             )
             committed = link.host_down.commit_tx_iv()
-            assert committed == predicted
+            if committed != predicted:
+                raise IvDesyncError(f"{link.label}: staged IV {predicted}, committed {committed}")
         else:
             # Misses never ship a stale staged ciphertext: whatever was
             # pre-arranged is discarded *before* the wire and the hop

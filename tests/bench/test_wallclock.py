@@ -24,9 +24,9 @@ from repro.observatory import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Minimum fast/reference speedup on the crypto workload. The fast
-#: profile's worst accelerated backend (numpy batching) clears this
-#: with margin; hardware AES-GCM clears it by orders of magnitude.
+#: Minimum fast/reference speedup on the crypto workload. Hardware
+#: AES-GCM (the only accelerated backend) clears it by orders of
+#: magnitude.
 FLOOR = 5.0
 
 _ACCELERATED = [b for b in available_backends() if b != "reference"]

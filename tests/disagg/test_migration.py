@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DisaggConfig
+from repro.crypto import IvDesyncError, PayloadCorruptionError, SessionEndpoint
 from repro.disagg import (
     MIGRATION_CHUNK_BYTES,
     DisaggCluster,
@@ -124,6 +125,29 @@ class TestMigrate:
         assert first is not second
         assert first.label != second.label
         assert cluster.fabric.stats()["links"] == 2
+
+
+class TestSafetyChecks:
+    """The chunk-level invariants raise typed errors (they survive -O)."""
+
+    def test_staged_commit_off_the_guess_raises_iv_desync(self, monkeypatch):
+        cluster = make_cluster("pipellm")
+        # The first staged chunk's commit reports a counter other than
+        # the one its ciphertext was sealed under.
+        monkeypatch.setattr(
+            SessionEndpoint, "commit_tx_iv", lambda self: self.tx_iv.consume() + 1
+        )
+        with pytest.raises(IvDesyncError):
+            migrate_once(cluster, kv_bytes=8 * MIGRATION_CHUNK_BYTES)
+
+    def test_corrupted_round_trip_raises(self):
+        cluster = make_cluster("pipellm")
+        src, dst = cluster.prefill_pool[0], cluster.decode_pool[0]
+        rx = cluster.fabric.link(src, dst).rx
+        genuine = rx.decrypt_next
+        rx.decrypt_next = lambda message: genuine(message)[::-1]
+        with pytest.raises(PayloadCorruptionError):
+            migrate_once(cluster, src=src, dst=dst)
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc import CcMode, build_machine
 from repro.cluster import ClusterIvAudit, IvReuseError
-from repro.crypto import derive_link_session
+from repro.crypto import IvDesyncError, SessionEndpoint, derive_link_session
 from repro.parallel import LinkSpeculator
 
 
@@ -163,6 +163,14 @@ class TestSpeculation:
 
         staged, _ = self._speculated(12)
         assert staged.sim.now < t_serial
+
+    def test_staged_commit_off_the_guess_raises_iv_desync(self, monkeypatch):
+        m, _ = self._speculated(12)
+        monkeypatch.setattr(
+            SessionEndpoint, "commit_tx_iv", lambda self: self.tx_iv.consume() + 1
+        )
+        with pytest.raises(IvDesyncError):
+            run_transfer(m, 0, 1, b"x", nbytes=1 << 20)
 
     def test_hit_rate_zero_without_speculator(self):
         m = build_machine(CcMode.ENABLED, n_gpus=2)
