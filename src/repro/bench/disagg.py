@@ -38,7 +38,7 @@ from ..faults import FaultPlan
 from ..hw import pack_names
 from ..tracing import TraceCollector, collecting, fleet_attribution
 from ..workloads import TraceSpec
-from .tables import ExperimentResult
+from .tables import ExperimentResult, require
 
 __all__ = ["STRESS_TRACE", "disagg_frontier"]
 
@@ -78,14 +78,9 @@ def _row(run, section: str, topology: str, rate: float, verdict: str = "") -> di
     )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
-
-
 def _check_drained(run, where: str) -> None:
-    _require(run.unfinished == 0, f"{where}: {run.unfinished} requests unfinished")
-    _require(
+    require(run.unfinished == 0, f"{where}: {run.unfinished} requests unfinished")
+    require(
         run.completed + run.shed == run.offered,
         f"{where}: {run.completed}+{run.shed} resolved of {run.offered} offered",
     )
@@ -129,12 +124,12 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
 
     mono = runs[("mono-4", top)]
     pipellm = runs[("1p+3d", top)]
-    _require(
+    require(
         pipellm.p50_ttft < mono.p50_ttft,
         f"disagg PipeLLM p50 TTFT {pipellm.p50_ttft:.4f}s must beat "
         f"monolithic CC {mono.p50_ttft:.4f}s at rate {top}",
     )
-    _require(
+    require(
         pipellm.goodput >= 0.98 * mono.goodput,
         f"disagg PipeLLM goodput {pipellm.goodput:.2f} rps must match "
         f"monolithic CC {mono.goodput:.2f} rps at rate {top}",
@@ -152,21 +147,21 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
     penalty = cc.migration_s_per_chunk - native.migration_s_per_chunk
     recovered = cc.migration_s_per_chunk - pipellm.migration_s_per_chunk
     recovery = recovered / penalty if penalty > 0 else 0.0
-    _require(penalty > 0, "CC migration must cost more than native per chunk")
-    _require(
+    require(penalty > 0, "CC migration must cost more than native per chunk")
+    require(
         pipellm.migration_hit_rate > 0.5,
         f"speculation hit rate {pipellm.migration_hit_rate:.3f} too low",
     )
-    _require(
+    require(
         recovery >= 0.5,
         f"speculation recovers {recovery:.2f} of the CC migration penalty "
         f"(need >= 0.5 at hit rate {pipellm.migration_hit_rate:.3f})",
     )
-    _require(
+    require(
         cc.iv_observed > 0 and pipellm.iv_observed > 0,
         "encrypted migrations must feed the fleet IV audit",
     )
-    _require(native.iv_observed == 0, "native migrations must not consume IVs")
+    require(native.iv_observed == 0, "native migrations must not consume IVs")
     result.add_note(
         f"speculation recovers {recovery:.1%} of the CC migration penalty "
         f"({cc.migration_s_per_chunk * 1e6:.0f} -> "
@@ -188,7 +183,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
             _check_drained(run, f"pack {pack} {system}")
             pack_chunk[(pack, system)] = run.migration_s_per_chunk
             result.add_row(**_row(run, f"pack:{pack}", "1p+2d", 1.0))
-            _require(
+            require(
                 system == "cc" or run.migration_s_per_chunk
                 < pack_chunk[(pack, "cc")],
                 f"pack {pack}: speculation must beat the serialized bridge",
@@ -216,7 +211,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
             ))
         _check_drained(run, f"stress {system}")
         attribution = fleet_attribution(collector)
-        _require(
+        require(
             not attribution.closure_problems,
             f"stress {system}: causal ledger not closed: "
             f"{attribution.closure_problems[:3]}",
@@ -225,12 +220,12 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
         result.add_row(**_row(
             run, "stress", "1p+3d", 18.0, verdict=attribution.verdict
         ))
-    _require(
+    require(
         stress_runs["cc"][2].verdict == "migration-bound",
         f"CC-serialized hot-link run must be migration-bound, got "
         f"{stress_runs['cc'][2].verdict!r}",
     )
-    _require(
+    require(
         stress_runs["pipellm"][2].verdict != "migration-bound",
         "PipeLLM must lift the migration-bound verdict",
     )
@@ -260,15 +255,15 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
             18.0, stress_duration, tenants=1, trace=STRESS_TRACE
         ))
     _check_drained(crash_run, "failover crash")
-    _require(crash_run.shed == 0, "crash run must shed nothing")
-    _require(crash_run.crashes >= 1, "crash run must actually crash")
-    _require(
+    require(crash_run.shed == 0, "crash run must shed nothing")
+    require(crash_run.crashes >= 1, "crash run must actually crash")
+    require(
         crash_run.failovers >= 1 and crash_run.resumes >= 1,
         f"crash mid-migration must exercise resume "
         f"(failovers={crash_run.failovers}, resumes={crash_run.resumes})",
     )
     attribution = fleet_attribution(collector)
-    _require(
+    require(
         not attribution.closure_problems,
         f"crash run: causal ledger not closed: "
         f"{attribution.closure_problems[:3]}",
@@ -297,16 +292,16 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
     _check_drained(storm_run, "migration storm")
     clean_run = stress_runs["pipellm"][1]
     speculator = storm_cluster.fabric.speculator
-    _require(
+    require(
         speculator.parked > 0,
         "storm must trip the degradation controller (no parked lookups)",
     )
-    _require(
+    require(
         storm_run.migration_hit_rate < clean_run.migration_hit_rate,
         "storm must depress the speculation hit rate",
     )
-    _require(storm_run.migration_resends > 0, "storm must drop chunks")
-    _require(
+    require(storm_run.migration_resends > 0, "storm must drop chunks")
+    require(
         storm_run.iv_observed == clean_run.iv_observed,
         f"storm IV count {storm_run.iv_observed} != clean "
         f"{clean_run.iv_observed}: a drop or miss consumed a fresh IV",

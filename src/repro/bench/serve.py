@@ -14,7 +14,8 @@ top rate the fleet is saturated and the SLO policy's deadline
 shedding converts hopeless requests into headroom — higher goodput
 than FIFO despite completing fewer requests.
 
-Inline asserts pin the reproduction claims:
+Inline gates (:func:`~repro.bench.tables.require`) pin the
+reproduction claims:
 
 * accounting — every offered request resolves (completed + shed);
 * at the lowest rate, PipeLLM's SLO attainment is ≥ 0.95;
@@ -32,7 +33,7 @@ from typing import Dict, Tuple
 from ..core import ClusterConfig
 from ..serve import LoadSpec, SloSpec, run_serve
 from ..workloads import SHAREGPT_SERVE
-from .tables import ExperimentResult
+from .tables import ExperimentResult, require
 
 __all__ = ["serve_frontier", "SERVE_RESERVE_BYTES", "SERVE_MAX_OUTSTANDING"]
 
@@ -79,7 +80,7 @@ def serve_frontier(scale: str = "quick") -> ExperimentResult:
         ],
     )
 
-    #: (system, admission, rate) -> ServeResult, for the asserts.
+    #: (system, admission, rate) -> ServeResult, for the gates.
     runs: Dict[Tuple[str, str, float], object] = {}
     for system, label in _SYSTEMS:
         for admission in ("fifo", "slo"):
@@ -92,8 +93,12 @@ def serve_frontier(scale: str = "quick") -> ExperimentResult:
                 )
                 runs[(system, admission, rate)] = run
                 # Accounting: the front end already raises if any
-                # request vanished; re-assert the ledger closes.
-                assert run.completed + run.shed == run.offered
+                # request vanished; re-check the ledger closes.
+                require(
+                    run.completed + run.shed == run.offered,
+                    f"{system}/{admission} at {rate} req/s: {run.completed}"
+                    f"+{run.shed} resolved of {run.offered} offered",
+                )
                 result.add_row(
                     system=label,
                     admission=admission,
@@ -114,15 +119,16 @@ def serve_frontier(scale: str = "quick") -> ExperimentResult:
 
     # At low load the confidential service meets its SLOs.
     low_run = runs[("pipellm", "slo", low)]
-    assert low_run.attainment >= 0.95, (
-        f"PipeLLM attainment {low_run.attainment:.3f} < 0.95 at {low} req/s"
+    require(
+        low_run.attainment >= 0.95,
+        f"PipeLLM attainment {low_run.attainment:.3f} < 0.95 at {low} req/s",
     )
 
     # The top rate crosses the swap threshold and saturates the fleet:
     # deadline shedding engages, and nothing is lost untracked.
     top_pipellm = runs[("pipellm", "slo", top)]
-    assert top_pipellm.swap_outs > 0, "top rate never hit KV pressure"
-    assert top_pipellm.shed > 0, "overload never triggered shedding"
+    require(top_pipellm.swap_outs > 0, "top rate never hit KV pressure")
+    require(top_pipellm.shed > 0, "overload never triggered shedding")
 
     # The PipeLLM frontier dominates CC-serialized. Two forms, both
     # robust to the noisy deep-overload tail (past saturation, goodput
@@ -141,22 +147,27 @@ def serve_frontier(scale: str = "quick") -> ExperimentResult:
         ),
         None,
     )
-    assert knee is not None, "CC never felt swap pressure across the sweep"
-    assert (
+    require(knee is not None, "CC never felt swap pressure across the sweep")
+    require(
         runs[("pipellm", "slo", knee)].goodput
-        >= runs[("cc", "slo", knee)].goodput
-    ), f"PipeLLM does not dominate CC at the swap knee ({knee} req/s)"
+        >= runs[("cc", "slo", knee)].goodput,
+        f"PipeLLM does not dominate CC at the swap knee ({knee} req/s)",
+    )
     area = {
         system: sum(runs[(system, "slo", r)].goodput for r in rates)
         for system in ("cc", "pipellm")
     }
-    assert area["pipellm"] >= area["cc"], (
-        f"PipeLLM frontier area {area['pipellm']:.1f} < CC {area['cc']:.1f}"
+    require(
+        area["pipellm"] >= area["cc"],
+        f"PipeLLM frontier area {area['pipellm']:.1f} < CC {area['cc']:.1f}",
     )
 
     # Per-request latency metrics reached the telemetry layer (the
     # serve.* latency stats bind_gateway scrapes into the registry).
-    assert low_run.ttfts and low_run.tpots
+    require(
+        bool(low_run.ttfts and low_run.tpots),
+        f"no TTFT/TPOT samples at {low} req/s",
+    )
 
     gap = (
         runs[("pipellm", "slo", knee)].goodput

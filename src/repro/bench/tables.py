@@ -12,7 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult"]
+__all__ = ["ExperimentResult", "GateError", "require"]
+
+
+class GateError(AssertionError):
+    """An experiment's inline acceptance gate failed.
+
+    Raised explicitly rather than by ``assert``, so the gates still
+    hold under ``python -O``.
+    """
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise :class:`GateError` with ``message`` unless ``condition``."""
+    if not condition:
+        raise GateError(message)
 
 
 def _format_cell(value: Any) -> str:

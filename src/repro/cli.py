@@ -59,6 +59,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
+from . import fastpath
 from .bench import (
     SUITES,
     ablation_async_decrypt,
@@ -85,6 +86,7 @@ from .bench import (
     serve_frontier,
 )
 from .hw import pack_names as hw_pack_names
+from .sim import default_seed, set_default_seed
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -790,14 +792,23 @@ def _run_serve(args, out) -> int:
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        from .sim import set_default_seed
+    # --seed and --crypto-backend override process-wide state for this
+    # command only; restore both so an in-process caller never inherits
+    # them.
+    previous_seed = default_seed(None)  # type: ignore[arg-type]
+    previous_profile = fastpath.config()
+    try:
+        if getattr(args, "seed", None) is not None:
+            set_default_seed(args.seed)
+        if getattr(args, "crypto_backend", None) is not None:
+            fastpath.configure(args.crypto_backend)
+        return _dispatch(args, out)
+    finally:
+        set_default_seed(previous_seed)
+        fastpath.configure(previous_profile)
 
-        set_default_seed(args.seed)
-    if getattr(args, "crypto_backend", None) is not None:
-        from . import fastpath
 
-        fastpath.configure(args.crypto_backend)
+def _dispatch(args: argparse.Namespace, out) -> int:
     if args.command == "list":
         for name, fn in EXPERIMENTS.items():
             summary = (fn.__doc__ or "").strip().splitlines()[0]

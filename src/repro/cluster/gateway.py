@@ -363,6 +363,8 @@ class Gateway:
         replica: int = -1,
         detail: str = "",
     ) -> None:
+        if not self.telemetry.enabled:
+            return
         self.telemetry.emit(ClusterEvent(
             time=self.sim.now,
             action=action,

@@ -94,9 +94,12 @@ class ClusterRequest:
         return self.finish_time - self.submit_time
 
 
-@dataclass
+@dataclass(eq=False)
 class _Served:
-    """A request resident on one replica, with its scheduling state."""
+    """A request resident on one replica, with its scheduling state.
+
+    Compared by identity: one instance per residency.
+    """
 
     creq: ClusterRequest
     group: SequenceGroup
@@ -302,12 +305,12 @@ class Replica:
             sim.tracer.record(f"cluster.replica-{self.replica_id}", "step", step_start, sim.now)
             collector = active_collector()
             if collector is not None and sim.now > step_start:
+                label = f"replica-{self.replica_id}.e{self.epoch}"
                 for served in self.running:
                     if served.creq.trace_attempt is not None:
                         collector.add(
                             served.creq.trace_attempt, "step", "compute",
-                            f"replica-{self.replica_id}.e{self.epoch}",
-                            step_start, sim.now,
+                            label, step_start, sim.now,
                         )
 
             # Sampled tokens return as a small transfer (not waited on).
@@ -387,19 +390,22 @@ class Replica:
             self.gateway.on_reject(creq, self, "kv-budget")
 
     def _make_room(self):
+        geometry = self.geometry
         while True:
-            growth = sum(s.group.step_block_growth(self.geometry) for s in self.running)
-            if self.blocks.can_allocate(growth) or len(self.running) <= 1:
+            grants = [
+                (s.group.owner, n) for s in self.running
+                if (n := s.group.step_block_growth(geometry))
+            ]
+            if (self.blocks.can_allocate(sum(n for _owner, n in grants))
+                    or len(self.running) <= 1):
                 break
             victim = max(
                 self.running,
                 key=lambda s: (s.group.request.arrival_time, s.creq.rid),
             )
             yield from self._swap_out(victim)
-        for served in self.running:
-            self.blocks.allocate(
-                served.group.owner, served.group.step_block_growth(self.geometry)
-            )
+        for owner, n in grants:
+            self.blocks.allocate(owner, n)
 
     def _swap_out(self, served: _Served):
         self.running.remove(served)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
+from ..crypto import PayloadCorruptionError
 from ..models.specs import ModelSpec
 from ..models.transformer import TransformerCostModel
 from .collectives import Communicator, ParallelResult
@@ -82,8 +83,10 @@ class TensorParallelEngine:
                     shards, self.activation_bytes, collective=f"tp.{phase}"
                 )
                 expected = [sum(col) for col in zip(*shards)]
-                assert all(vec == expected for vec in reduced), \
-                    "ring all-reduce diverged from the arithmetic sum"
+                if any(vec != expected for vec in reduced):
+                    raise PayloadCorruptionError(
+                        "ring all-reduce diverged from the arithmetic sum"
+                    )
                 self._digest.update(
                     f"tp:{step}:{layer}:{phase}:{reduced[0]}".encode()
                 )

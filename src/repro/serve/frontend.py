@@ -68,10 +68,11 @@ class _ServeRecord:
     trace_root: Optional[Any] = None
     #: Open admission-hold span (queueing time before release).
     trace_hold: Optional[Any] = None
+    #: Span-tracer lane, ``serve.req-<id>`` (built once per record).
+    lane: str = field(init=False)
 
-    @property
-    def lane(self) -> str:
-        return f"serve.req-{self.request.request_id}"
+    def __post_init__(self) -> None:
+        self.lane = f"serve.req-{self.request.request_id}"
 
 
 @dataclass
@@ -200,7 +201,7 @@ class ServeFrontend:
             # the end-to-end request, and the context rides the
             # ClusterRequest through gateway, replica and runtime.
             rec.trace_root = collector.start_trace(
-                f"serve.req-{request.request_id}", "request", "request",
+                rec.lane, "request", "request",
                 "serve", self.sim.now,
             )
             rec.creq.trace = rec.trace_root
@@ -414,6 +415,8 @@ class ServeFrontend:
         self, action: str, rec: _ServeRecord, token_index: int = -1,
         detail: str = "",
     ) -> None:
+        if not self.telemetry.enabled:
+            return
         self.telemetry.emit(ServeEvent(
             time=self.sim.now,
             action=action,

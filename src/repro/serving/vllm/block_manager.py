@@ -4,7 +4,8 @@ Tracks how many fixed-size KV blocks each sequence group holds on the
 GPU. Only counts matter for the swap behaviour (vLLM's block *tables*
 map logical to physical blocks; the pressure dynamics depend purely on
 the counts), so the manager is a checked counting allocator with an
-owner index.
+owner index. A running ``_used`` total mirrors
+``sum(_allocations.values())`` so every query is O(1).
 """
 
 from __future__ import annotations
@@ -26,33 +27,40 @@ class BlockManager:
             raise ValueError("total_blocks must be non-negative")
         self.total_blocks = total_blocks
         self._allocations: Dict[str, int] = {}
+        #: Invariant: ``_used == sum(_allocations.values())``.
+        self._used = 0
         self.peak_used = 0
 
     @property
     def used_blocks(self) -> int:
-        return sum(self._allocations.values())
+        return self._used
 
     @property
     def free_blocks(self) -> int:
-        return self.total_blocks - self.used_blocks
+        return self.total_blocks - self._used
 
     def owned_by(self, owner: str) -> int:
         return self._allocations.get(owner, 0)
 
     def can_allocate(self, n_blocks: int) -> bool:
-        return n_blocks <= self.free_blocks
+        return n_blocks <= self.total_blocks - self._used
 
     def allocate(self, owner: str, n_blocks: int) -> None:
         """Grant ``n_blocks`` more blocks to ``owner``."""
         if n_blocks < 0:
             raise ValueError("n_blocks must be non-negative")
-        if not self.can_allocate(n_blocks):
+        used = self._used + n_blocks
+        if used > self.total_blocks:
             raise BlockAllocationError(
                 f"{owner}: need {n_blocks}, free {self.free_blocks}"
             )
         self._allocations[owner] = self._allocations.get(owner, 0) + n_blocks
-        self.peak_used = max(self.peak_used, self.used_blocks)
+        self._used = used
+        if used > self.peak_used:
+            self.peak_used = used
 
     def free_owner(self, owner: str) -> int:
         """Release everything ``owner`` holds; returns blocks freed."""
-        return self._allocations.pop(owner, 0)
+        freed = self._allocations.pop(owner, 0)
+        self._used -= freed
+        return freed

@@ -242,7 +242,11 @@ class VllmEngine:
         """Preempt (swap out) until this step's block growth fits."""
         state = self.state
         while True:
-            growth = sum(g.step_block_growth(self.geometry) for g in state.running)
+            grants = [
+                (g.owner, n) for g in state.running
+                if (n := g.step_block_growth(self.geometry))
+            ]
+            growth = sum(n for _owner, n in grants)
             if self.blocks.can_allocate(growth) or len(state.running) <= 1:
                 break
             victim = state.pick_victim()
@@ -250,9 +254,8 @@ class VllmEngine:
                 break
             yield from self._swap_out(victim)
         # Grant the growth now; the compute step will fill the blocks.
-        growth = sum(g.step_block_growth(self.geometry) for g in state.running)
-        for group in state.running:
-            self.blocks.allocate(group.owner, group.step_block_growth(self.geometry))
+        for owner, n in grants:
+            self.blocks.allocate(owner, n)
         return growth
 
     # -- swapping -----------------------------------------------------------------------

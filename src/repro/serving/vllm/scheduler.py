@@ -58,14 +58,18 @@ class SequenceGroup:
         per_seq = geometry.blocks_for_tokens(max(self.generated, 1))
         return prompt + self.request.parallel_n * per_seq
 
-    def blocks_after_step(self, geometry: KvGeometry) -> int:
-        prompt = geometry.blocks_for_tokens(self.request.prompt_len)
-        per_seq = geometry.blocks_for_tokens(self.generated + 1)
-        return prompt + self.request.parallel_n * per_seq
-
     def step_block_growth(self, geometry: KvGeometry) -> int:
-        """New blocks this decode step will require."""
-        return self.blocks_after_step(geometry) - self.blocks_held(geometry)
+        """New blocks this decode step will require.
+
+        Token ``generated + 1`` opens a fresh block in each parallel
+        sequence exactly when the held tokens fill whole blocks; the
+        first token shares the block ``blocks_held`` already counts
+        for ``max(generated, 1)``.
+        """
+        generated = self.generated
+        if generated > 0 and generated % geometry.block_size == 0:
+            return self.request.parallel_n
+        return 0
 
     def kv_bytes(self, geometry: KvGeometry) -> int:
         """Bytes moved when this group is swapped (all its blocks)."""

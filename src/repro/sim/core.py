@@ -165,13 +165,14 @@ class Process(Event):
         if self._waiting_on is not event:
             return  # Stale wake-up (e.g. interrupted while waiting).
         self._waiting_on = None
-        if event.ok:
-            self._resume(event.value, None)
+        # Dispatched events are triggered: read the slots directly.
+        if event._ok:
+            self._resume(event._value, None)
         else:
-            self._resume(None, event.value)
+            self._resume(None, event._value)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
         self._waiting_on = None
         try:
@@ -191,7 +192,11 @@ class Process(Event):
             self.fail(SimulationError(f"process yielded non-event: {target!r}"))
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._on_event)  # pending: add_callback's fast case
+        else:
+            target.add_callback(self._on_event)
 
 
 class Interrupt(Exception):

@@ -135,33 +135,7 @@ class TraceCollector:
         required and must be unique); otherwise the span nests under
         the parent context within the parent's trace.
         """
-        if parent is None:
-            if not trace_id:
-                raise ValueError("a root span needs an explicit trace_id")
-            if trace_id in self._next_span_id:
-                raise ValueError(f"trace {trace_id!r} already exists")
-            self._next_span_id[trace_id] = 0
-            self._trace_order.append(trace_id)
-            parent_span_id = ROOT_PARENT
-        else:
-            trace_id = parent.trace_id
-            parent_span_id = parent.span_id
-            if trace_id not in self._next_span_id:
-                raise ValueError(f"unknown trace {trace_id!r}")
-        span_id = self._next_span_id[trace_id]
-        self._next_span_id[trace_id] = span_id + 1
-        span = CausalSpan(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_span_id=parent_span_id,
-            name=name,
-            stage=stage,
-            machine=machine,
-            start=start,
-        )
-        self.spans.append(span)
-        self._by_key[(trace_id, span_id)] = span
-        return TraceContext(trace_id, span_id, parent_span_id)
+        return self._span(parent, name, stage, machine, start, trace_id)
 
     def start_trace(
         self, trace_id: str, name: str, stage: str, machine: str, start: float
@@ -194,9 +168,52 @@ class TraceCollector:
         trace_id: Optional[str] = None,
     ) -> TraceContext:
         """Record one already-closed interval under ``parent``."""
-        ctx = self.begin(parent, name, stage, machine, start, trace_id=trace_id)
-        self.end(ctx, end, status=status)
-        return ctx
+        return self._span(
+            parent, name, stage, machine, start, trace_id, end=end, status=status
+        )
+
+    def _span(
+        self,
+        parent: Optional[TraceContext],
+        name: str,
+        stage: str,
+        machine: str,
+        start: float,
+        trace_id: Optional[str],
+        end: float = math.nan,
+        status: str = "ok",
+    ) -> TraceContext:
+        """Create one span, open unless ``end`` is given; the single
+        constructor behind :meth:`begin` and :meth:`add`."""
+        if parent is None:
+            if not trace_id:
+                raise ValueError("a root span needs an explicit trace_id")
+            if trace_id in self._next_span_id:
+                raise ValueError(f"trace {trace_id!r} already exists")
+            self._next_span_id[trace_id] = 0
+            self._trace_order.append(trace_id)
+            parent_span_id = ROOT_PARENT
+        else:
+            trace_id = parent.trace_id
+            parent_span_id = parent.span_id
+            if trace_id not in self._next_span_id:
+                raise ValueError(f"unknown trace {trace_id!r}")
+        span_id = self._next_span_id[trace_id]
+        self._next_span_id[trace_id] = span_id + 1
+        span = CausalSpan(
+            trace_id=trace_id,
+            span_id=span_id,
+            parent_span_id=parent_span_id,
+            name=name,
+            stage=stage,
+            machine=machine,
+            start=start,
+            end=end,
+            status=status,
+        )
+        self.spans.append(span)
+        self._by_key[(trace_id, span_id)] = span
+        return TraceContext(trace_id, span_id, parent_span_id)
 
     # -- telemetry-record adoption ---------------------------------------
 

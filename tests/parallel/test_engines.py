@@ -76,6 +76,22 @@ class TestTensorParallel:
                 for m, t, s in (("nocc", 1, False), ("cc", 1, False), ("cc", 8, True))}
         assert len(sums) == 1
 
+    def test_all_reduce_divergence_raises_typed_error(self, monkeypatch):
+        # A typed error, not an assert: it must survive ``python -O``.
+        from repro.crypto import PayloadCorruptionError
+        from repro.parallel.collectives import Communicator
+
+        honest = Communicator._all_reduce
+
+        def corrupted(self, vectors, nbytes, collective):
+            work = yield from honest(self, vectors, nbytes, collective)
+            work[-1][0] += 1
+            return work
+
+        monkeypatch.setattr(Communicator, "_all_reduce", corrupted)
+        with pytest.raises(PayloadCorruptionError, match="all-reduce diverged"):
+            tp_run("nocc", 2, tokens=1)
+
 
 class TestPipelineParallel:
     def test_inference_processes_every_microbatch(self):

@@ -64,3 +64,16 @@ class TestCliSeedThreading:
         assert main(base + ["--seed", "6"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert first != second
+
+    def test_cli_restores_process_wide_state(self):
+        import io
+
+        from repro import fastpath
+        from repro.cli import main
+
+        profile = fastpath.config()
+        argv = ["run", "fig2", "--scale", "quick", "--seed", "7",
+                "--crypto-backend", "reference"]
+        assert main(argv, out=io.StringIO()) == 0
+        assert default_seed(5) == 5
+        assert fastpath.config() is profile
