@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cc.api import D2H, DEFAULT_TRACE_CAP, H2D, DeviceRuntime, TransferHandle
 from ..cc.machine import Machine
-from ..crypto import AuthenticationError, EncryptedMessage, tamper_tag
+from ..crypto import AuthenticationError, EncryptedMessage, IvDesyncError, tamper_tag
 from ..faults.policies import DegradationController, FaultPolicy, PipelineMode
 from ..hw.memory import MemoryChunk, PageFault
 from ..sim import Event
@@ -183,6 +183,11 @@ class PipeLLMRuntime(DeviceRuntime):
         handle = TransferHandle(chunk, H2D, self.sim.event(), self.sim.event())
         self._track(handle.complete)
         record = self._telemetry_request(handle)
+        if any(held.chunk.overlaps(chunk.addr, chunk.size) for held, _, _ in self._deferred):
+            # Re-ordering (§5.3) may only reorder *different* data:
+            # copies of the same bytes land in request order, so a
+            # request never overtakes a suspended one it overlaps.
+            self._resolve_deferred()
 
         if not self.classifier.is_swap(chunk.size):
             self._small_transfers.add()
@@ -472,7 +477,7 @@ class PipeLLMRuntime(DeviceRuntime):
     ) -> None:
         endpoint = self.machine.cpu_endpoint
         if entry.iv != endpoint.tx_iv.current:
-            raise AssertionError(
+            raise IvDesyncError(
                 f"staged commit out of order: entry iv {entry.iv}, "
                 f"channel iv {endpoint.tx_iv.current}"
             )

@@ -12,9 +12,10 @@ Design goals:
   trigger at the same timestamp are processed in insertion order.
 * **Zero dependencies** — the kernel uses only ``heapq`` and
   ``itertools``.
-* **Small surface** — everything the PipeLLM models need (timeouts,
-  one-shot events, ``all_of``/``any_of`` combinators, preemptible-free
-  resources, FIFO stores) and nothing else.
+* **Small surface** — everything the PipeLLM models need (relative
+  and absolute timeouts, one-shot events, ``all_of``/``any_of``
+  combinators, preemptible-free resources, FIFO stores) and nothing
+  else.
 
 Example
 -------
@@ -321,6 +322,20 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def at(self, when: float, value: Any = None) -> Event:
+        """Create an event that triggers at the absolute time ``when``.
+
+        Unlike ``timeout(when - now)``, which fires at ``now + (when -
+        now)`` and can round away from ``when`` once ``when > 2 * now``,
+        this fires at exactly ``when``. Ties at one timestamp keep
+        insertion order, as timeouts do.
+        """
+        if not when >= self.now:
+            raise ValueError(f"cannot schedule at {when}: the clock is at {self.now}")
+        event = self.event()
+        self._schedule(when, event.succeed, value)
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Launch a generator as a simulation process."""

@@ -156,11 +156,6 @@ class BandwidthPipe:
             self.sim.tracer.record(self.name, "xfer", start, finish)
         return self.sim.timeout(finish - self.sim.now, value=nbytes)
 
-    def transfer_proc(self, nbytes: int) -> Generator[Event, None, int]:
-        """Process-style helper: ``yield from pipe.transfer_proc(n)``."""
-        yield self.transfer(nbytes)
-        return nbytes
-
 
 class WorkerPool:
     """N identical workers pulling jobs from a two-level priority queue.

@@ -10,6 +10,8 @@ import pytest
 
 from repro.cc import CcMode, build_machine
 from repro.core import PipeLLMConfig, PipeLLMRuntime
+from repro.core.validator import ValidationOutcome
+from repro.crypto import IvDesyncError
 from repro.hw import MB, MemoryChunk
 
 LAYER = 8 * MB
@@ -240,6 +242,67 @@ class TestWriteInvalidation:
         drive(machine, app())
         assert machine.gpu.read_plaintext("layer.0") == b"v1"
         assert runtime.pipeline.invalidated_by_fault >= 1
+
+
+class TestSafetyChecks:
+    def test_staged_commit_off_the_channel_iv_raises_iv_desync(self, monkeypatch):
+        # The channel's TX IV moves between validation and commit, so
+        # the validated entry no longer sits at the IV the wire will
+        # consume. The check must raise a typed error (it survives -O).
+        machine, runtime = make()
+        regions = [
+            machine.host_memory.allocate(LAYER, f"layer.{i}", b"w") for i in range(3)
+        ]
+        validate = runtime.validator.validate
+
+        def skewed(addr, size, current):
+            validation = validate(addr, size, current)
+            if validation.outcome is ValidationOutcome.HIT_NOW:
+                machine.cpu_endpoint.tx_iv.consume()
+            return validation
+
+        monkeypatch.setattr(runtime.validator, "validate", skewed)
+
+        def app():
+            for _ in range(6):
+                for region in regions:
+                    yield runtime.memcpy_h2d(region.chunk()).complete
+
+        machine.sim.process(app())
+        with pytest.raises(IvDesyncError, match="staged commit out of order"):
+            machine.run()
+
+    def test_overlapping_request_never_overtakes_a_suspended_one(self):
+        # Swap-in of slot 1 hits a future IV and is suspended; slot 1 is
+        # then rewritten and swapped in again. The second copy must not
+        # land before the first, or the GPU is left holding v0.
+        machine, runtime = make(enc=2, dec=2, kv_depth=3)
+        kv = 2 * MB
+        regions = [machine.host_memory.allocate(kv, f"slot{i}", b"v0") for i in range(2)]
+        landed = []
+        receive = machine.gpu.receive_ciphertext
+
+        def record(chunk, message):
+            plaintext = receive(chunk, message)
+            landed.append((chunk.tag, plaintext))
+            return plaintext
+
+        machine.gpu.receive_ciphertext = record
+
+        def app():
+            for region in regions:
+                handle = runtime.memcpy_d2h(MemoryChunk(region.addr, kv, b"v0", region.tag))
+                yield handle.api_done
+            yield runtime.cpu_access(regions[1].addr)
+            yield runtime.memcpy_h2d(machine.host_memory.chunk_at(regions[1].addr)).api_done
+            assert runtime.deferred_total == 1
+            machine.host_memory.write(regions[1].addr, b"v1")
+            yield runtime.memcpy_h2d(machine.host_memory.chunk_at(regions[1].addr)).api_done
+            yield runtime.synchronize()
+
+        drive(machine, app())
+        assert landed == [("slot1", b"v0"), ("slot1", b"v1")]
+        assert machine.gpu.read_plaintext("slot1") == b"v1"
 
 
 class TestStats:

@@ -93,6 +93,55 @@ class TestTimeout:
         assert got == ["payload"]
 
 
+class TestAt:
+    def test_fires_at_exactly_when(self, sim):
+        # From now = 0.1, timeout(0.41 - 0.1) lands on 0.1 + 0.31 =
+        # 0.4099999999999999; at() must land on 0.41 itself.
+        now, when = 0.1, 0.41
+        assert now + (when - now) != when
+        fired = []
+
+        def proc():
+            yield sim.timeout(now)
+            value = yield sim.at(when, value="done")
+            fired.append((sim.now, value))
+
+        sim.process(proc())
+        sim.run()
+        assert fired == [(when, "done")]
+
+    def test_at_now_fires_without_advancing(self, sim):
+        fired = []
+
+        def proc():
+            yield sim.timeout(1.5)
+            yield sim.at(sim.now)
+            fired.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert fired == [1.5]
+
+    @pytest.mark.parametrize("when", [0.5, -1.0, float("nan")])
+    def test_time_in_the_past_rejected(self, sim, when):
+        sim.run(until=1.0)
+        with pytest.raises(ValueError):
+            sim.at(when)
+
+    @pytest.mark.parametrize("queue", ["heap", "fast"])
+    @pytest.mark.parametrize("when", [0.0, 2.0])
+    def test_ties_keep_insertion_order(self, queue, when):
+        sim = Simulator(queue=queue)
+        log = []
+        sim.at(when, "a").add_callback(lambda e: log.append(e.value))
+        sim.timeout(when, "b").add_callback(lambda e: log.append(e.value))
+        sim.at(when, "c").add_callback(lambda e: log.append(e.value))
+        sim.timeout(when, "d").add_callback(lambda e: log.append(e.value))
+        sim.run()
+        assert log == ["a", "b", "c", "d"]
+        assert sim.now == when
+
+
 class TestProcess:
     def test_ordering_by_delay(self, sim):
         log = []
