@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .backend import make_gcm
-from .gcm import AuthenticationError, iv_from_counter
+from .gcm import AuthenticationError, IvDesyncError, iv_from_counter
 from .ivstream import IvStream
 from .tiering import expand, shrink
 
@@ -108,6 +108,21 @@ class SessionEndpoint:
     def commit_tx_iv(self) -> int:
         """Advance the TX counter because a ciphertext was put on the wire."""
         return self.tx_iv.consume()
+
+    def send_staged(self, plaintext: bytes, nbytes_logical: int = 0) -> EncryptedMessage:
+        """Ship a ciphertext staged under the guessed next TX IV (§5.1 hit).
+
+        Encrypts under the counter the stream will consume next, then
+        commits it as the ciphertext goes on the wire. The committed
+        counter must equal the guess; a mismatch would silently
+        desynchronize the streams, so it raises :class:`IvDesyncError`.
+        """
+        predicted = self.tx_iv.current
+        message = self.encrypt_with_iv(plaintext, predicted, nbytes_logical)
+        committed = self.commit_tx_iv()
+        if committed != predicted:
+            raise IvDesyncError(f"{self.name}: staged IV {predicted}, committed {committed}")
+        return message
 
     # -- receiving ----------------------------------------------------------
 

@@ -4,9 +4,13 @@ The package splits LLM serving across dedicated prefill and decode
 pools inside one simulator and moves every finished KV cache between
 them as a speculatively pipelined AES-GCM chunk stream — PipeLLM's
 §5.1 machinery applied to the one transfer disaggregation cannot
-avoid. See :mod:`repro.disagg.cluster` for the orchestration entry
-point (:func:`run_disagg`) and :mod:`repro.bench.disagg` for the
-acceptance campaign behind ``python -m repro disagg``.
+avoid. Chunk prediction is :class:`MigrationSpeculator`, the one
+:class:`~repro.core.stream.StreamSpeculator` (shared with the
+multi-GPU interconnect's link hops) keyed by source worker; staged
+chunks ship through :meth:`repro.crypto.SessionEndpoint.send_staged`.
+See :mod:`repro.disagg.cluster` for the orchestration entry point
+(:func:`run_disagg`) and :mod:`repro.bench.disagg` for the acceptance
+campaign behind ``python -m repro disagg``.
 """
 
 from .cluster import DisaggCluster, DisaggResult, run_disagg

@@ -18,11 +18,12 @@ hypothesis racer learns after one observation.
   the cluster-wide :class:`~repro.cluster.tenant.ClusterIvAudit`
   attached to every endpoint proves.
 * **speculative staging** — :class:`MigrationSpeculator` (the
-  :class:`~repro.parallel.speculate.LinkSpeculator` pattern applied
-  per *source worker*) predicts each chunk's (destination, size); on
-  a hit the chunk ships pre-encrypted under the predicted IV and the
-  wire runs at the CC DMA rate with crypto off the critical path; on
-  a miss the staged ciphertext is discarded *before the wire* and the
+  :class:`~repro.core.stream.StreamSpeculator` keyed by *source
+  worker* incarnation) predicts each chunk's (destination, size); on
+  a hit the chunk ships pre-encrypted under the predicted IV
+  (:meth:`~repro.crypto.SessionEndpoint.send_staged`) and the wire
+  runs at the CC DMA rate with crypto off the critical path; on a
+  miss the staged ciphertext is discarded *before the wire* and the
   chunk serializes behind inline AES-GCM, so TX/RX streams never
   desynchronize.
 * **degradation** — a :class:`~repro.faults.policies.
@@ -52,13 +53,11 @@ reason real transports pick one MTU and stick to it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..core.classify import SwapClass, TransferClassifier
-from ..core.predictor import SwapPredictor
-from ..crypto import IvDesyncError, PayloadCorruptionError, derive_link_session
-from ..faults.policies import DegradationController, FaultPolicy
+from ..core.stream import StreamSpeculator
+from ..crypto import PayloadCorruptionError, derive_link_session
 from ..hw import MB, HardwareParams
 from ..sim import Simulator
 from ..tracing import active_collector
@@ -80,84 +79,16 @@ MIGRATION_CHUNK_BYTES = 1 * MB
 _PAYLOAD_BYTES = 16
 
 
-class MigrationSpeculator:
-    """Per-source-worker schedule prediction for migration chunks.
-
-    Mirrors :class:`~repro.parallel.speculate.LinkSpeculator`: each
-    prefill worker's outgoing chunk sequence feeds its own
-    :class:`~repro.core.predictor.SwapPredictor` (a chunk to decode
-    worker *d* of *n* bytes is "swap-in of (d, n)"), with one shared
-    :class:`DegradationController` parking speculation fabric-wide
-    under a mispredict storm. Parked lookups ship nothing staged, so
-    IV streams stay monotone throughout.
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        policy: Optional[FaultPolicy] = None,
-        faults=None,
-        warmup: int = 8,
-    ) -> None:
-        self.clock = clock
-        #: Per-source lookups excluded from the degradation EMA — a
-        #: cold detector's first misses say nothing about the fabric.
-        self.warmup = warmup
-        self.faults = faults
-        self.controller = DegradationController(policy or FaultPolicy(), clock)
-        self._classifiers: Dict[str, TransferClassifier] = {}
-        self._predictors: Dict[str, SwapPredictor] = {}
-        self._seen: Dict[str, int] = {}
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.parked = 0
-
-    def _predictor(self, src: str) -> SwapPredictor:
-        if src not in self._predictors:
-            # Every chunk is a "swap": threshold 1 keeps the weights
-            # detectors (repetitive/Markov) fed for all of them.
-            classifier = TransferClassifier(swap_threshold=1)
-            self._classifiers[src] = classifier
-            self._predictors[src] = SwapPredictor(classifier)
-        return self._predictors[src]
+class MigrationSpeculator(StreamSpeculator):
+    """Per-source-worker schedule prediction for migration chunks."""
 
     def lookup(self, src: str, dst: int, nbytes: int) -> bool:
-        """One chunk is about to migrate: was its crypto pre-arranged?
-
-        Always feeds the observation (the predictor keeps learning
-        while parked); returns True only when the prediction matched
-        *and* the degradation controller currently allows speculation.
-        """
-        self.controller.poll()
-        predictor = self._predictor(src)
-        # Migration streams are strictly ordered, same-sized chunk
-        # trains — the weights-class hypotheses fit exactly.
-        self._classifiers[src].register_weight_size(nbytes)
-        predicted = predictor.predict(1, SwapClass.WEIGHTS)
-        hit = bool(predicted) and predicted[0].key == (dst, nbytes)
-        predictor.observe_swap_in(dst, nbytes)
-        if hit and self.faults is not None and self.faults.migration_mispredict(
-            f"{src}->d{dst}"
-        ):
-            hit = False
-        self.lookups += 1
-        self._seen[src] = self._seen.get(src, 0) + 1
-        if not self.controller.speculation_enabled:
-            self.parked += 1
-            self.misses += 1
-            return False
-        if self._seen[src] > self.warmup:
-            self.controller.observe(hit)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+        """One chunk is about to migrate: was its crypto pre-arranged?"""
+        faults = self.faults
+        return self.speculate(
+            src, dst, nbytes,
+            faults.migration_mispredict if faults is not None else None, f"{src}->d{dst}",
+        )
 
 
 @dataclass
@@ -222,8 +153,6 @@ class MigrationFabric:
         system: str = "pipellm",
         audit=None,
         faults=None,
-        policy: Optional[FaultPolicy] = None,
-        chunk_bytes: int = MIGRATION_CHUNK_BYTES,
     ) -> None:
         if system not in ("native", "cc", "pipellm"):
             raise ValueError(f"unknown migration system {system!r}")
@@ -233,12 +162,9 @@ class MigrationFabric:
         self.system = system
         self.audit = audit
         self.faults = faults
-        self.chunk_bytes = chunk_bytes
         self.speculator: Optional[MigrationSpeculator] = None
         if system == "pipellm":
-            self.speculator = MigrationSpeculator(
-                clock=lambda: sim.now, policy=policy, faults=faults
-            )
+            self.speculator = MigrationSpeculator(clock=lambda: sim.now, faults=faults)
         self._links: Dict[Tuple[str, str], _MigrationLink] = {}
         self.records: List[MigrationRecord] = []
         self.bytes_moved = 0
@@ -270,7 +196,7 @@ class MigrationFabric:
 
     def chunk_seconds(self, staged: bool) -> float:
         """Wire occupancy of one chunk (two CC channel legs)."""
-        p, n = self.params, self.chunk_bytes
+        p, n = self.params, MIGRATION_CHUNK_BYTES
         if self.system == "native":
             return 2.0 * p.ncc_occupancy(n)
         if staged:
@@ -287,11 +213,12 @@ class MigrationFabric:
         the moment either incarnation dies, leaving ``status`` set so
         the scheduler can pick resume vs replay.
         """
-        chunks = max(1, -(-creq.kv_bytes // self.chunk_bytes))
+        chunks = max(1, -(-creq.kv_bytes // MIGRATION_CHUNK_BYTES))
         src_epoch, dst_epoch = src.epoch, dst.epoch
+        src_label = f"{src.label}.e{src_epoch}"
         link = self.link(src, dst)
         record = MigrationRecord(
-            rid=creq.rid, src=link.label.split("->")[0][len("migrate:"):],
+            rid=creq.rid, src=src_label,
             dst=f"{dst.label}.e{dst.epoch}", kv_bytes=creq.kv_bytes,
             chunks=chunks, start=self.sim.now, resumed=resumed,
         )
@@ -313,30 +240,23 @@ class MigrationFabric:
             staged = False
             if self.speculator is not None:
                 staged = self.speculator.lookup(
-                    f"{src.label}.e{src_epoch}", dst.worker_id, self.chunk_bytes
+                    src_label, dst.worker_id, MIGRATION_CHUNK_BYTES
                 )
             payload = chunk_payload(creq.rid, index)
             if self.system == "native":
                 message = None
             elif staged:
-                # The §5.1 staged fast path, verbatim from the
-                # interconnect: encrypt under the guessed counter,
-                # commit when the ciphertext actually ships, and the
-                # committed counter MUST equal the guess (a mismatch
-                # here would silently desync the streams).
-                predicted = link.tx.tx_iv.current
-                message = link.tx.encrypt_with_iv(
-                    payload, predicted, nbytes_logical=self.chunk_bytes
+                # The §5.1 staged fast path: ship the ciphertext
+                # pre-encrypted under the guessed counter.
+                message = link.tx.send_staged(
+                    payload, nbytes_logical=MIGRATION_CHUNK_BYTES
                 )
-                committed = link.tx.commit_tx_iv()
-                if committed != predicted:
-                    raise IvDesyncError(f"staged IV {predicted}, committed {committed}")
             else:
                 # Serialized: inline encryption consumes the next IV
                 # on the spot; any discarded staged ciphertext never
                 # touched the wire, so nothing desyncs.
                 message = link.tx.encrypt_next(
-                    payload, nbytes_logical=self.chunk_bytes
+                    payload, nbytes_logical=MIGRATION_CHUNK_BYTES
                 )
             seconds = self.chunk_seconds(staged)
             if self.faults is not None and self.faults.migration_drop(link.label):
@@ -359,7 +279,7 @@ class MigrationFabric:
             record.delivered += 1
             record.hits += int(staged)
             record.misses += int(message is not None and not staged)
-            self.bytes_moved += self.chunk_bytes
+            self.bytes_moved += MIGRATION_CHUNK_BYTES
         record.end = self.sim.now
         if span is not None:
             collector.end(

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto import IvDesyncError, SessionEndpoint, derive_link_session
+from ..crypto import SessionEndpoint, derive_link_session
 from ..sim import BandwidthPipe, Event, Simulator
 from ..telemetry import LinkEvent
 from ..tracing import active_collector
@@ -124,7 +124,8 @@ class Interconnect:
         #: Optional :class:`repro.telemetry.TelemetryHub` (the machine's).
         self.telemetry = telemetry
         #: Optional link speculator (see ``repro.parallel.speculate``);
-        #: duck-typed: ``lookup(src, dst, nbytes) -> bool`` (staged hit).
+        #: duck-typed: ``lookup(src, dst, nbytes) -> bool`` (staged hit)
+        #: plus the ``lookups`` count and ``hit_rate`` it keeps.
         self.speculator = None
         self._audit = None
         # Every GPU owns its own CPU<->GPU bounce path (each device has
@@ -147,8 +148,6 @@ class Interconnect:
         self.hops = 0
         self.p2p_bytes = 0
         self.bounce_bytes = 0
-        self.spec_hits = 0
-        self.spec_misses = 0
         #: Link-level replays (transient-failure retries) and retries
         #: whose budget ran out, mirroring :class:`repro.hw.pcie.PcieLink`.
         self.replays = 0
@@ -300,10 +299,6 @@ class Interconnect:
         staged = False
         if self.speculator is not None:
             staged = bool(self.speculator.lookup(src, dst, nbytes))
-            if staged:
-                self.spec_hits += 1
-            else:
-                self.spec_misses += 1
         strategy = ("staged" if staged else "miss") if self.speculator is not None \
             else "serialized"
 
@@ -314,16 +309,9 @@ class Interconnect:
         message_up = link.gpu_up.encrypt_next(payload, nbytes_logical=nbytes)
         plain = link.host_up.decrypt_next(message_up)
         if staged:
-            # The speculator's predicted IV: stage the ciphertext
-            # without consuming the stream, then commit when it is put
-            # on the wire — a hit means the guess equals the counter.
-            predicted = link.host_down.tx_iv.current
-            message_down = link.host_down.encrypt_with_iv(
-                plain, predicted, nbytes_logical=nbytes
-            )
-            committed = link.host_down.commit_tx_iv()
-            if committed != predicted:
-                raise IvDesyncError(f"{link.label}: staged IV {predicted}, committed {committed}")
+            # The speculator's predicted IV: the ciphertext was staged
+            # under it and is committed as it goes on the wire.
+            message_down = link.host_down.send_staged(plain, nbytes_logical=nbytes)
         else:
             # Misses never ship a stale staged ciphertext: whatever was
             # pre-arranged is discarded *before* the wire and the hop
@@ -431,5 +419,4 @@ class Interconnect:
 
     def hit_rate(self) -> float:
         """Staged fraction of speculated hops (0.0 with no speculator)."""
-        total = self.spec_hits + self.spec_misses
-        return self.spec_hits / total if total else 0.0
+        return self.speculator.hit_rate if self.speculator is not None else 0.0

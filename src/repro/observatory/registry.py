@@ -353,8 +353,9 @@ def bind_machine(
         if runtime is not None and hasattr(runtime, "validator"):
             hit_rate.labels(label).set(runtime.validator.success_rate)
         fabric = getattr(machine, "interconnect", None)
-        if fabric is not None and (fabric.spec_hits or fabric.spec_misses):
-            link_hit_rate.labels(label).set(fabric.hit_rate())
+        speculator = getattr(fabric, "speculator", None)
+        if speculator is not None and speculator.lookups:
+            link_hit_rate.labels(label).set(speculator.hit_rate)
 
     registry.register_collector(collect)
 

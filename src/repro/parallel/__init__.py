@@ -7,8 +7,10 @@ forbidden and every inter-GPU hop bounces through CPU AES-GCM
 
 * :class:`Communicator` — send / ring all-reduce / ring all-gather
   with deterministic schedules;
-* :class:`LinkSpeculator` — the §5 predictor applied to link traffic,
-  with a degradation controller that parks speculation under storms;
+* :class:`LinkSpeculator` — the per-source-GPU
+  :class:`~repro.core.stream.StreamSpeculator` (the §5 predictor plus
+  a degradation controller that parks speculation under storms),
+  the same one disaggregated KV migration uses;
 * :class:`TensorParallelEngine` — Megatron-style sharded decode, two
   all-reduces per layer (the link-bound regime);
 * :class:`PipelineParallelEngine` — GPipe/1F1B microbatching (the

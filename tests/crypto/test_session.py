@@ -7,7 +7,8 @@ GCM failure.
 
 import pytest
 
-from repro.crypto import AuthenticationError, SecureSession
+from repro.cluster.tenant import ClusterIvAudit
+from repro.crypto import AuthenticationError, IvDesyncError, SecureSession, SessionEndpoint
 
 
 @pytest.fixture
@@ -105,6 +106,34 @@ class TestSpeculativeEncryption:
             gpu.decrypt_next(nop)
         cpu.commit_tx_iv()
         assert gpu.decrypt_next(staged) == b"staged"
+
+
+class TestSendStaged:
+    """The staged fast path: encrypt under the guess, commit, compare."""
+
+    def test_peer_decrypts_the_staged_message(self, endpoints):
+        cpu, gpu = endpoints
+        message = cpu.send_staged(b"staged", nbytes_logical=1 << 20)
+        assert message.nbytes_logical == 1 << 20
+        assert gpu.decrypt_next(message) == b"staged"
+
+    def test_consumes_exactly_one_tx_iv_with_one_audit_observation(self, endpoints):
+        cpu, _ = endpoints
+        audit = ClusterIvAudit()
+        cpu.attach_audit(audit)
+        before = cpu.tx_iv.current
+        message = cpu.send_staged(b"staged")
+        assert message.sender_iv == before
+        assert cpu.tx_iv.current == before + 1
+        assert audit.observed == 1
+
+    def test_commit_off_the_guess_raises_iv_desync(self, endpoints, monkeypatch):
+        cpu, _ = endpoints
+        monkeypatch.setattr(
+            SessionEndpoint, "commit_tx_iv", lambda self: self.tx_iv.consume() + 1
+        )
+        with pytest.raises(IvDesyncError, match=cpu.name):
+            cpu.send_staged(b"staged")
 
 
 class TestSessionFactory:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.bench import CC, pipellm, run_flexgen
+from repro.cc import CcMode, build_machine
 from repro.models import OPT_66B
 from repro.observatory import MetricsRegistry, bind_machine
+from repro.parallel import LinkSpeculator
 from repro.telemetry import recording
 from repro.workloads import SyntheticShape
 
@@ -168,6 +170,24 @@ class TestBindMachine:
         for line in text.strip().splitlines():
             assert line.startswith("#") or " " in line
         assert "repro_resource_utilization" in text
+
+    @pytest.mark.parametrize("speculated", [False, True])
+    def test_link_hit_rate_reads_the_attached_speculator(self, speculated):
+        machine = build_machine(CcMode.ENABLED, n_gpus=2, enc_threads=8, dec_threads=8)
+        speculator = LinkSpeculator(lambda: machine.sim.now) if speculated else None
+        machine.interconnect.attach_speculator(speculator)
+        for i in range(12):
+            machine.interconnect.transfer(0, 1, bytes([i]), nbytes=1 << 20)
+            machine.run()
+        registry = MetricsRegistry()
+        bind_machine(registry, machine, label="tp")
+        series = registry.snapshot(machine.sim.now)["interconnect_hit_rate"]["series"]
+        if not speculated:
+            assert series == []
+            return
+        assert [s["value"] for s in series] == [speculator.hit_rate]
+        assert speculator.lookups == 12 and speculator.hit_rate > 0.5
+        assert machine.interconnect.hit_rate() == speculator.hit_rate
 
 
 class TestBindGatewayServing:

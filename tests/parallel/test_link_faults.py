@@ -17,13 +17,12 @@ from repro.models import OPT_13B
 from repro.parallel import LinkSpeculator, TensorParallelEngine
 
 
-def storm_run(rate, start=0.0, stop=None, tokens=3, warmup=8):
+def storm_run(rate, start=0.0, stop=None, tokens=3):
     injector = FaultInjector(FaultPlan.link_storm(rate, start=start, stop=stop),
                              seed=23)
     machine = build_machine(CcMode.ENABLED, n_gpus=2, enc_threads=8,
                             dec_threads=8, faults=injector)
-    speculator = LinkSpeculator(lambda: machine.sim.now,
-                                faults=injector, warmup=warmup)
+    speculator = LinkSpeculator(lambda: machine.sim.now, faults=injector)
     machine.interconnect.attach_speculator(speculator)
     audit = ClusterIvAudit()
     machine.interconnect.attach_audit(audit)
