@@ -291,16 +291,14 @@ class Gateway:
         self._kick()
 
     def on_reject(self, creq: ClusterRequest, replica: Replica, reason: str) -> None:
-        """A replica bounced ``creq`` (e.g. it exceeds its KV budget)."""
+        """A replica bounced ``creq``: its peak KV need exceeds the budget.
+
+        Every replica is built from one spec and reserve, so each would
+        reject it the same way; shed it here instead of re-routing.
+        """
         self.metrics.counter("cluster.gateway.rejected").add()
-        others = [
-            r for r in self._candidates() if r.replica_id != replica.replica_id
-        ]
-        if others:
-            # Another replica may have a bigger free pool; retry there.
-            self._requeue(creq)
-        else:
-            self._shed(creq, reason)
+        self._shed(creq, reason)
+        self._kick()
 
     # -- fault injection -------------------------------------------------
 

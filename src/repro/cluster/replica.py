@@ -2,25 +2,30 @@
 
 A :class:`Replica` owns one :class:`repro.cc.Machine` (embedded in the
 cluster's shared simulator), the `DeviceRuntime` that machine serves
-traffic through (PipeLLM, inline CC, or native), and a vLLM-style
-continuous-batching loop that accepts *dynamically routed* requests
-from the gateway — unlike the single-machine engines, the request set
-is not known up front.
+traffic through (PipeLLM, inline CC, or native), and a serving loop
+that drives the shared continuous-batching scheduler
+(:class:`repro.serving.vllm.BatchState`) over *dynamically routed*
+requests from the gateway — unlike the single-machine engines, the
+request set is not known up front.
 
 The loop reproduces the serving behaviour the cluster experiments
-depend on:
+depend on; the replica itself adds only the machine I/O, the prefix
+cache and the gateway callbacks:
 
 * **continuous batching** — admitted requests decode in lock-step,
   one token per step, with prompt tokens and sampled tokens crossing
   the (encrypted) bus as control transfers every step;
 * **KV-pressure swapping** — block growth beyond the replica's budget
   preempts the most recent group (request-wise swap-out over the CC
-  channel, LIFO resume), exactly the traffic PipeLLM pipelines;
+  channel, LIFO resume), exactly the traffic PipeLLM pipelines; a
+  request whose peak KV need exceeds the whole budget is bounced to
+  the gateway at admission and shed (``kv-budget``);
 * **prefix KV reuse** — a tenant whose prompt prefix is still cached
   on this replica skips prefill compute and bytes, which is the win
   the gateway's affinity policy exists to harvest;
 * **crash / recover** — a crash orphans every resident request back
-  to the gateway for failover and tears the incarnation down; recovery
+  to the gateway for failover (including a victim whose swap-out copy
+  was still in flight) and tears the incarnation down; recovery
   re-runs the attested bring-up with fresh seeds (fresh session keys
   and IVs) and rejoins with an empty cache.
 """
@@ -29,16 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..cc import CcMode, CudaContext, Machine, build_attested_machine
 from ..core import PipeLLMRuntime
 from ..hw import HardwareParams, default_params
 from ..hw.memory import MemoryChunk
-from ..models import KvGeometry, LayerWork, ModelSpec, TransformerCostModel
-from ..serving.vllm.block_manager import BlockManager
-from ..serving.vllm.scheduler import GroupState, SequenceGroup
-from ..sim import Simulator, mean
+from ..models import KvGeometry, ModelSpec, TransformerCostModel
+from ..serving.vllm.scheduler import BatchState, SequenceGroup
+from ..sim import Simulator
 from ..tracing import active_collector
 from ..workloads import Request
 
@@ -49,9 +53,6 @@ _PAYLOAD_BYTES = 16
 
 #: Tenants whose prompt prefixes one replica keeps warm.
 _PREFIX_CACHE_TENANTS = 16
-
-#: Resume hysteresis, mirroring vLLM's watermark.
-_RESUME_WATERMARK = 0.02
 
 
 class ReplicaDead(RuntimeError):
@@ -92,19 +93,6 @@ class ClusterRequest:
     def latency(self) -> float:
         """End-to-end gateway latency (nan until done)."""
         return self.finish_time - self.submit_time
-
-
-@dataclass(eq=False)
-class _Served:
-    """A request resident on one replica, with its scheduling state.
-
-    Compared by identity: one instance per residency.
-    """
-
-    creq: ClusterRequest
-    group: SequenceGroup
-    #: Prompt tokens that must actually be prefilled (0 = prefix hit).
-    prefill_tokens: int = 0
 
 
 class Replica:
@@ -186,9 +174,11 @@ class Replica:
         total_blocks = self.geometry.gpu_block_budget(
             self.params.gpu_memory_bytes, reserved_bytes=self.reserve_bytes
         )
-        if total_blocks <= 0:
-            raise ValueError("model leaves no GPU room for KV cache")
-        self.blocks = BlockManager(total_blocks)
+        self.batch = BatchState(
+            self.geometry, total_blocks,
+            on_admit=self._on_admit, on_token=self._on_token,
+            on_finish=self._on_finish, on_reject=self._on_reject,
+        )
         self.machine.gpu.alloc("weights", self.spec.total_bytes)
         self.machine.gpu.alloc("kv-pool", total_blocks * self.geometry.block_bytes)
         self.runtime.hint_kv_block_size(self.geometry.block_bytes)
@@ -200,10 +190,6 @@ class Replica:
             4096, f"r{self.replica_id}.tokens.out", b"\x02" * 8
         )
 
-        self._queue: List[ClusterRequest] = []
-        self.running: List[_Served] = []
-        #: LIFO stack of preempted groups.
-        self.swapped: List[_Served] = []
         #: tenant -> longest prompt prefix still warm on this replica.
         self.prefix_cache: Dict[str, int] = {}
 
@@ -221,12 +207,8 @@ class Replica:
         self._auth_failures_acc += self.machine.gpu.auth_failures
         if self._loop_proc.is_alive:
             self._loop_proc.interrupt("crash")
-        orphans = [s.creq for s in self.running + self.swapped] + list(self._queue)
-        self._queue = []
-        self.running = []
-        self.swapped = []
         self.prefix_cache = {}
-        return orphans
+        return [group.record for group in self.batch.evict()]
 
     def recover(self) -> None:
         """Re-attest and rejoin the fleet as a fresh incarnation."""
@@ -239,7 +221,7 @@ class Replica:
     @property
     def outstanding(self) -> int:
         """Requests resident on this replica (the routing load signal)."""
-        return len(self._queue) + len(self.running) + len(self.swapped)
+        return self.batch.outstanding
 
     @property
     def busy_seconds(self) -> float:
@@ -259,7 +241,7 @@ class Replica:
             raise ReplicaDead(f"replica-{self.replica_id} is down")
         creq.state = "dispatched"
         creq.replica_history.append(self.replica_id)
-        self._queue.append(creq)
+        self.batch.waiting.append(SequenceGroup(request=creq.request, record=creq))
         self._kick()
 
     def _kick(self) -> None:
@@ -270,198 +252,103 @@ class Replica:
 
     def _loop(self, epoch: int):
         sim = self.sim
+        batch = self.batch
         while self.alive and self.epoch == epoch:
-            resumed = self._resume_swapped()
-            admitted = self._admit()
-            if not self.running:
-                self._reject_unservable()
-                if not (self._queue or self.swapped):
-                    self._wake = sim.event()
-                    yield self._wake
+            resumed = [(group, self._swap_in(group)) for group in batch.resume()]
+            admitted = batch.admit()
+            if not batch.running:
+                self._wake = sim.event()
+                yield self._wake
                 continue
 
             # Preempt (swap out) until this step's block growth fits,
             # then grant the growth.
-            yield from self._make_room()
+            yield from batch.make_room(self._swap_out)
 
             # Prompt tokens for fresh prefills cross the bus; prefix
             # hits still cost one small control transfer.
-            for served in admitted:
-                size = max(4 * served.prefill_tokens, _PAYLOAD_BYTES)
-                with self.machine.telemetry.bound_trace(served.creq.trace_attempt):
+            for group in admitted:
+                size = max(4 * group.prefill_tokens, _PAYLOAD_BYTES)
+                with self.machine.telemetry.bound_trace(group.record.trace_attempt):
                     self.runtime.memcpy_h2d(MemoryChunk(
                         self._token_in.addr, size, b"\x01" * _PAYLOAD_BYTES,
                         f"r{self.replica_id}.tokens.in",
                     ))
             yield self.runtime.synchronize()
-            for served, region in resumed:
+            for group, region in resumed:
                 self.machine.host_memory.free(region)
-                if served.group.swap_region is region:
-                    served.group.swap_region = None
+                if group.swap_region is region:
+                    group.swap_region = None
 
             step_start = sim.now
-            work = self._step_work(admitted)
+            work = batch.step_work(admitted, self.cost)
             yield self.machine.gpu.compute(work.flops, work.bytes_touched, layers=work.layers)
             sim.tracer.record(f"cluster.replica-{self.replica_id}", "step", step_start, sim.now)
             collector = active_collector()
             if collector is not None and sim.now > step_start:
                 label = f"replica-{self.replica_id}.e{self.epoch}"
-                for served in self.running:
-                    if served.creq.trace_attempt is not None:
+                for group in batch.running:
+                    if group.record.trace_attempt is not None:
                         collector.add(
-                            served.creq.trace_attempt, "step", "compute",
+                            group.record.trace_attempt, "step", "compute",
                             label, step_start, sim.now,
                         )
 
             # Sampled tokens return as a small transfer (not waited on).
-            seqs = sum(s.group.request.parallel_n for s in self.running)
             self.runtime.memcpy_d2h(MemoryChunk(
-                self._token_out.addr, max(4 * seqs, _PAYLOAD_BYTES),
+                self._token_out.addr, max(4 * batch.running_seqs, _PAYLOAD_BYTES),
                 b"\x02" * _PAYLOAD_BYTES, f"r{self.replica_id}.tokens.out",
             ))
-            self._advance()
+            batch.advance(sim.now)
 
-    # -- scheduling phases -----------------------------------------------
+    # -- machine I/O -----------------------------------------------------
 
-    def _resume_swapped(self) -> List[Tuple[_Served, object]]:
-        resumed = []
-        watermark = int(self.blocks.total_blocks * _RESUME_WATERMARK)
-        while self.swapped:
-            served = self.swapped[-1]
-            needed = served.group.blocks_held(self.geometry)
-            if not self.blocks.can_allocate(needed + watermark):
-                break
-            self.swapped.pop()
-            self.blocks.allocate(served.group.owner, needed)
-            region = served.group.swap_region
-            if region is None:
-                raise RuntimeError(f"{served.group.owner} swapped without a region")
-            with self.machine.telemetry.bound_trace(served.creq.trace_attempt):
-                self.runtime.memcpy_h2d(self.machine.host_memory.chunk_at(region.addr))
-            self.swap_in_count += 1
-            served.group.state = GroupState.RUNNING
-            served.creq.state = "running"
-            self.running.append(served)
-            resumed.append((served, region))
-        return resumed
+    def _swap_in(self, group: SequenceGroup):
+        """Start a resumed group's H2D; returns the region it consumes."""
+        region = group.swap_region
+        if region is None:
+            raise RuntimeError(f"{group.owner} swapped without a region")
+        with self.machine.telemetry.bound_trace(group.record.trace_attempt):
+            self.runtime.memcpy_h2d(self.machine.host_memory.chunk_at(region.addr))
+        self.swap_in_count += 1
+        group.record.state = "running"
+        return region
 
-    def _admit(self) -> List[_Served]:
-        admitted: List[_Served] = []
-        while self._queue and not self.swapped:
-            creq = self._queue[0]
-            group = SequenceGroup(request=creq.request)
-            if not self.blocks.can_allocate(group.blocks_held(self.geometry)):
-                break
-            self._queue.pop(0)
-            self.blocks.allocate(group.owner, group.blocks_held(self.geometry))
-            group.state = GroupState.RUNNING
-            group.first_schedule_time = self.sim.now
-            cached = self.prefix_cache.get(creq.tenant, 0)
-            prefill = 0 if cached >= creq.request.prompt_len else creq.request.prompt_len
-            creq.prefix_hit = prefill == 0
-            if creq.prefix_hit:
-                self.prefix_hits += 1
-            creq.state = "running"
-            served = _Served(creq, group, prefill_tokens=prefill)
-            self.running.append(served)
-            admitted.append(served)
-        return admitted
-
-    def _reject_unservable(self) -> None:
-        """Bounce work that can never fit this replica's KV budget.
-
-        Runs only when nothing is running (all blocks reclaimable), so
-        an admission/resume failure here means the group exceeds the
-        *total* budget — waiting cannot help. The gateway re-routes or
-        sheds it.
-        """
-        def too_big(group: SequenceGroup) -> bool:
-            return group.blocks_held(self.geometry) > self.blocks.free_blocks
-
-        if self.swapped and too_big(self.swapped[-1].group):
-            served = self.swapped.pop()
-            self.blocks.free_owner(served.group.owner)
-            if served.group.swap_region is not None:
-                self.machine.host_memory.free(served.group.swap_region)
-                served.group.swap_region = None
-            self.gateway.on_reject(served.creq, self, "kv-budget")
-        elif self._queue and too_big(SequenceGroup(request=self._queue[0].request)):
-            creq = self._queue.pop(0)
-            self.gateway.on_reject(creq, self, "kv-budget")
-
-    def _make_room(self):
-        geometry = self.geometry
-        while True:
-            grants = [
-                (s.group.owner, n) for s in self.running
-                if (n := s.group.step_block_growth(geometry))
-            ]
-            if (self.blocks.can_allocate(sum(n for _owner, n in grants))
-                    or len(self.running) <= 1):
-                break
-            victim = max(
-                self.running,
-                key=lambda s: (s.group.request.arrival_time, s.creq.rid),
-            )
-            yield from self._swap_out(victim)
-        for owner, n in grants:
-            self.blocks.allocate(owner, n)
-
-    def _swap_out(self, served: _Served):
-        self.running.remove(served)
-        group = served.group
+    def _swap_out(self, group: SequenceGroup):
         nbytes = group.kv_bytes(self.geometry)
-        group.swap_epoch += 1
         tag = f"r{self.replica_id}.kv.{group.owner}.e{group.swap_epoch}"
         payload = b"\x03" * _PAYLOAD_BYTES
         region = self.machine.host_memory.allocate(nbytes, tag=tag)
         group.swap_region = region
         self.machine.gpu._contents[tag] = payload
-        with self.machine.telemetry.bound_trace(served.creq.trace_attempt):
+        with self.machine.telemetry.bound_trace(group.record.trace_attempt):
             handle = self.runtime.memcpy_d2h(MemoryChunk(region.addr, nbytes, payload, tag))
         yield handle.api_done
-        self.blocks.free_owner(group.owner)
-        group.state = GroupState.SWAPPED
-        served.creq.state = "swapped"
-        self.swapped.append(served)
+        group.record.state = "swapped"
         self.swap_out_count += 1
 
-    # -- compute & progress ----------------------------------------------
+    # -- batch callbacks -------------------------------------------------
 
-    def _step_work(self, admitted: List[_Served]) -> LayerWork:
-        prefill_tokens = sum(s.prefill_tokens for s in admitted)
-        decode = [s for s in self.running if s not in admitted or s.prefill_tokens == 0]
-        decode_seqs = sum(s.group.request.parallel_n for s in decode)
-        flops = 0.0
-        bytes_touched = 0.0
-        if prefill_tokens:
-            work = self.cost.prefill(prefill_tokens)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        if decode_seqs:
-            ctx = mean([float(s.group.context_len()) for s in decode])
-            work = self.cost.decode_step(decode_seqs, ctx)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)
+    def _on_admit(self, group: SequenceGroup) -> None:
+        creq = group.record
+        creq.prefix_hit = self.prefix_cache.get(creq.tenant, 0) >= creq.request.prompt_len
+        if creq.prefix_hit:
+            group.prefill_tokens = 0
+            self.prefix_hits += 1
+        creq.state = "running"
 
-    def _advance(self) -> None:
-        now = self.sim.now
-        still: List[_Served] = []
-        for served in self.running:
-            group = served.group
-            group.generated += 1
-            self.gateway.on_token(served.creq, self, group.generated)
-            if group.done:
-                group.state = GroupState.FINISHED
-                group.finish_time = now
-                self.blocks.free_owner(group.owner)
-                self._remember_prefix(served.creq)
-                self.completed += 1
-                self.gateway.on_complete(served.creq, self)
-            else:
-                still.append(served)
-        self.running = still
+    def _on_token(self, group: SequenceGroup) -> None:
+        self.gateway.on_token(group.record, self, group.generated)
+
+    def _on_finish(self, group: SequenceGroup) -> None:
+        self._remember_prefix(group.record)
+        self.completed += 1
+        self.gateway.on_complete(group.record, self)
+
+    def _on_reject(self, group: SequenceGroup) -> None:
+        # Its peak KV need exceeds this replica's whole budget: the
+        # gateway sheds it.
+        self.gateway.on_reject(group.record, self, "kv-budget")
 
     def _remember_prefix(self, creq: ClusterRequest) -> None:
         prompt = creq.request.prompt_len

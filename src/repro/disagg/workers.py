@@ -4,8 +4,9 @@ Disaggregation splits the two phases of LLM inference onto dedicated
 machines. :class:`PrefillWorker` runs prompt prefills back to back —
 one compute-dense burst per request, no batch to disturb — then hands
 the finished KV cache to the migration fabric. :class:`DecodeWorker`
-runs a vLLM-style continuous-batching decode loop over requests whose
-KV has already *arrived*; it never computes a prefill (except in the
+drives the shared continuous-batching scheduler
+(:class:`repro.serving.vllm.BatchState`) over requests whose KV has
+already *arrived*; it never computes a prefill (except in the
 monolithic-baseline topology, where it must, inline, serialized with
 its own decode steps — exactly the head-of-line blocking disaggregation
 exists to remove).
@@ -27,8 +28,9 @@ from typing import Any, List, Optional
 
 from ..cc import CcMode, Machine, build_attested_machine
 from ..hw import HardwareParams, default_params
-from ..models import KvGeometry, LayerWork, ModelSpec, TransformerCostModel
-from ..sim import Simulator, mean
+from ..models import KvGeometry, ModelSpec, TransformerCostModel
+from ..serving.vllm.scheduler import BatchState, SequenceGroup
+from ..sim import Simulator
 from ..tracing import active_collector
 from ..workloads import Request
 
@@ -295,25 +297,6 @@ class PrefillWorker(_Worker):
             self.scheduler.on_prefill_done(creq, self)
 
 
-@dataclass
-class _Decoding:
-    """A request resident in one decode worker's batch."""
-
-    creq: DisaggRequest
-    #: KV bytes reserved for the full prompt+output horizon.
-    reserved: int
-    #: Prompt tokens still to prefill inline (monolithic mode only).
-    prefill_tokens: int = 0
-    generated: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.creq.request.output_len
-
-    def context_len(self) -> int:
-        return self.creq.request.prompt_len + self.generated
-
-
 class DecodeWorker(_Worker):
     """One continuous-batching decode machine.
 
@@ -321,166 +304,113 @@ class DecodeWorker(_Worker):
     the disaggregated path) or :meth:`submit_local` (monolithic
     baseline: the prompt must be prefilled *here*, inside the decode
     loop, stretching the step every other resident request is waiting
-    on). Admission reserves KV blocks for the full prompt+output
-    horizon; when the budget is exhausted, arrivals hold in the local
-    queue until completions free room — the decode-side half of
-    hold-until-KV-arrival.
+    on). The batch is the shared scheduler
+    (:class:`repro.serving.vllm.BatchState`) with ``reserve_horizon``:
+    admission grants KV blocks for the full prompt+output horizon of
+    every sequence, so nothing is ever preempted; when the budget is
+    exhausted, arrivals hold in the local queue until completions free
+    room — the decode-side half of hold-until-KV-arrival.
     """
 
     kind = "decode"
 
     def _boot_state(self) -> None:
-        self._queue: List[DisaggRequest] = []
-        self.running: List[_Decoding] = []
         total_blocks = self.geometry.gpu_block_budget(
             self.params.gpu_memory_bytes, reserved_bytes=self.reserve_bytes
         )
-        if total_blocks <= 0:
-            raise ValueError("model leaves no GPU room for KV cache")
-        self.budget_bytes = total_blocks * self.geometry.block_bytes
-        self.resident_bytes = 0
-        self.steps = 0
+        self.batch = BatchState(
+            self.geometry, total_blocks, reserve_horizon=True,
+            on_admit=self._on_admit, on_token=self._on_token,
+            on_finish=self._on_finish, on_reject=self._on_reject,
+        )
 
     def _orphans(self) -> List[DisaggRequest]:
-        orphans = [d.creq for d in self.running] + list(self._queue)
-        self._queue = []
-        self.running = []
-        self.resident_bytes = 0
-        return orphans
+        return [group.record for group in self.batch.evict()]
 
     # -- scheduler-facing surface ----------------------------------------
 
     @property
     def outstanding(self) -> int:
-        return len(self._queue) + len(self.running)
-
-    def kv_reservation(self, creq: DisaggRequest) -> int:
-        request = creq.request
-        return self.geometry.bytes_for_tokens(
-            request.prompt_len + request.output_len
-        ) * request.parallel_n
+        return self.batch.outstanding
 
     def submit_ready(self, creq: DisaggRequest) -> None:
         """Admit a request whose KV cache has arrived (disagg path)."""
-        if not self.alive:
-            raise WorkerDead(f"{self.label} is down")
-        creq.state = "holding"
-        creq.history.append(self.label)
-        self._queue.append(creq)
-        self._kick()
+        self._enqueue(creq)
 
     def submit_local(self, creq: DisaggRequest) -> None:
         """Accept a request that must prefill *here* (monolithic)."""
+        self._enqueue(creq)
+        creq.kv_ready_time = self.sim.now  # KV is born local.
+
+    def _enqueue(self, creq: DisaggRequest) -> None:
         if not self.alive:
             raise WorkerDead(f"{self.label} is down")
         creq.state = "holding"
         creq.history.append(self.label)
-        creq.kv_ready_time = self.sim.now  # KV is born local.
-        self._queue.append(creq)
+        self.batch.waiting.append(SequenceGroup(request=creq.request, record=creq))
         self._kick()
 
     # -- serving loop ----------------------------------------------------
 
     def _loop(self, epoch: int):
         sim = self.sim
+        batch = self.batch
         while self.alive and self.epoch == epoch:
-            admitted = self._admit()
-            if not self.running:
+            admitted = batch.admit()
+            if not batch.running:
                 self._wake = sim.event()
                 yield self._wake
                 continue
             step_start = sim.now
-            work = self._step_work(admitted)
+            work = batch.step_work(admitted, self.cost)
             yield self.machine.gpu.compute(
                 work.flops, work.bytes_touched, layers=work.layers
             )
-            self.steps += 1
             sim.tracer.record(f"disagg.{self.label}", "step", step_start, sim.now)
             collector = active_collector()
             if collector is not None and sim.now > step_start:
-                for decoding in self.running:
-                    if decoding.creq.trace is not None:
+                for group in batch.running:
+                    if group.record.trace is not None:
                         collector.add(
-                            decoding.creq.trace, "step", "compute",
+                            group.record.trace, "step", "compute",
                             self.incarnation, step_start, sim.now,
                         )
-            self._advance()
+            batch.advance(sim.now)
 
-    def _admit(self) -> List[_Decoding]:
-        admitted: List[_Decoding] = []
+    # -- batch callbacks -------------------------------------------------
+
+    def _on_admit(self, group: SequenceGroup) -> None:
+        creq = group.record
         collector = active_collector()
-        while self._queue:
-            creq = self._queue[0]
-            reserved = self.kv_reservation(creq)
-            fits = self.resident_bytes + reserved <= self.budget_bytes
-            if not fits and self.running:
-                break  # Hold until completions free KV room.
-            if not fits:
-                # Nothing running and it still cannot fit: the request
-                # exceeds this worker's entire KV budget — shed it.
-                self._queue.pop(0)
-                self.scheduler.on_reject(creq, self, "kv-budget")
-                continue
-            self._queue.pop(0)
-            self.resident_bytes += reserved
-            prefill = (
-                creq.request.prompt_len if math.isnan(creq.prefill_done_time)
-                else 0
+        if (collector is not None and creq.trace is not None
+                and not math.isnan(creq.kv_ready_time)
+                and self.sim.now > creq.kv_ready_time):
+            collector.add(
+                creq.trace, "kv-hold", "hold", self.incarnation,
+                creq.kv_ready_time, self.sim.now,
             )
-            if (collector is not None and creq.trace is not None
-                    and not math.isnan(creq.kv_ready_time)
-                    and self.sim.now > creq.kv_ready_time):
-                collector.add(
-                    creq.trace, "kv-hold", "hold", self.incarnation,
-                    creq.kv_ready_time, self.sim.now,
-                )
-            creq.state = "decoding"
-            # A migrated request's first token already left the prefill
-            # worker; decode owes the remaining output_len - 1.
-            generated = 1 if (
-                prefill == 0 and not math.isnan(creq.first_token_time)
-            ) else 0
-            admitted.append(_Decoding(
-                creq, reserved, prefill_tokens=prefill, generated=generated
-            ))
-            self.running.append(admitted[-1])
-        return admitted
+        creq.state = "decoding"
+        if math.isnan(creq.prefill_done_time):
+            # Monolithic inline prefill rides inside the batch step for
+            # every sequence — each resident request's next token waits.
+            group.prefill_tokens *= creq.request.parallel_n
+        else:
+            group.prefill_tokens = 0
+            # A migrated request's first token already left the
+            # prefill worker; decode owes the remaining output_len - 1.
+            if not math.isnan(creq.first_token_time):
+                group.generated = 1
 
-    def _step_work(self, admitted: List[_Decoding]) -> LayerWork:
-        # Monolithic inline prefills ride inside the batch step —
-        # every resident request's next token waits on them.
-        prefill_tokens = sum(
-            d.prefill_tokens * d.creq.request.parallel_n for d in admitted
-        )
-        decode = [d for d in self.running if d.prefill_tokens == 0 or d not in admitted]
-        decode_seqs = sum(d.creq.request.parallel_n for d in decode)
-        flops = 0.0
-        bytes_touched = 0.0
-        if prefill_tokens:
-            work = self.cost.prefill(prefill_tokens)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        if decode_seqs:
-            ctx = mean([float(d.context_len()) for d in decode])
-            work = self.cost.decode_step(decode_seqs, ctx)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)
+    def _on_token(self, group: SequenceGroup) -> None:
+        creq = group.record
+        if math.isnan(creq.prefill_done_time):
+            creq.prefill_done_time = self.sim.now  # The inline prefill.
+        self.scheduler.on_token(creq, self, group.generated)
 
-    def _advance(self) -> None:
-        now = self.sim.now
-        still: List[_Decoding] = []
-        for decoding in self.running:
-            creq = decoding.creq
-            if decoding.prefill_tokens:
-                decoding.prefill_tokens = 0
-                creq.prefill_done_time = now
-            decoding.generated += 1
-            self.scheduler.on_token(creq, self, decoding.generated)
-            if decoding.done:
-                self.resident_bytes -= decoding.reserved
-                self.completed += 1
-                self.scheduler.on_complete(creq, self)
-            else:
-                still.append(decoding)
-        self.running = still
+    def _on_finish(self, group: SequenceGroup) -> None:
+        self.completed += 1
+        self.scheduler.on_complete(group.record, self)
+
+    def _on_reject(self, group: SequenceGroup) -> None:
+        # Its KV horizon exceeds this worker's entire budget: shed it.
+        self.scheduler.on_reject(group.record, self, "kv-budget")

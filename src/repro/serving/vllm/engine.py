@@ -8,24 +8,24 @@ iteration also moves small control transfers (token ids in, sampled
 tokens out) — the traffic that perturbs PipeLLM's IV stream and
 exercises NOP padding and the adaptive leeway.
 
-The engine runs against any :class:`DeviceRuntime`; the normalized
-latency metric (s per output token, averaged over requests) matches
-the paper's serving plots.
+Scheduling is the shared :class:`~repro.serving.vllm.BatchState`;
+the engine adds the machine I/O. It runs against any
+:class:`DeviceRuntime`; the normalized latency metric (s per output
+token, averaged over requests) matches the paper's serving plots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ...cc.api import DeviceRuntime, TransferHandle
+from ...cc.api import DeviceRuntime
 from ...cc.machine import Machine
 from ...hw.memory import MemoryChunk
 from ...models import KvGeometry, ModelSpec, TransformerCostModel
 from ...sim import SeededRng, mean, percentile
 from ...workloads import Request
-from .block_manager import BlockManager
-from .scheduler import GroupState, SchedulerState, SequenceGroup
+from .scheduler import BatchState, SequenceGroup
 
 __all__ = ["VllmConfig", "VllmEngine", "VllmResult"]
 
@@ -42,11 +42,6 @@ class VllmConfig:
     block_size: int = 16
     #: GPU bytes kept free for activations and workspace.
     reserve_bytes: int = 4 << 30
-    max_num_seqs: int = 256
-    #: Resume hysteresis (fraction of total blocks that must be free
-    #: beyond the group's own need) — vLLM's watermark, which prevents
-    #: swap-in/swap-out thrashing at the pressure boundary.
-    resume_watermark: float = 0.02
     seed: int = 1
     #: Safety horizon (simulated seconds) after which the run aborts.
     max_sim_time: float = 36_000.0
@@ -88,24 +83,30 @@ class VllmEngine:
         total_blocks = self.geometry.gpu_block_budget(
             machine.params.gpu_memory_bytes, reserved_bytes=config.reserve_bytes
         )
-        if total_blocks <= 0:
-            raise ValueError("model leaves no GPU room for KV cache")
-        self.blocks = BlockManager(total_blocks)
-        machine.gpu.alloc("weights", config.spec.total_bytes)
-        machine.gpu.alloc("kv-pool", total_blocks * self.geometry.block_bytes)
-
-        self.state = SchedulerState()
+        self.finished: List[SequenceGroup] = []
+        self.batch = BatchState(
+            self.geometry, total_blocks, prefer_started=True, on_finish=self.finished.append
+        )
+        self.blocks = self.batch.blocks
         self._future = sorted(
             (SequenceGroup(request=r) for r in config.requests),
             key=lambda g: g.request.arrival_time,
         )
+        for group in self._future:
+            peak = self.batch.peak_blocks(group)
+            if peak > total_blocks:
+                raise ValueError(
+                    f"request {group.request.request_id} needs {peak} KV blocks at its "
+                    f"peak; the GPU budget is {total_blocks}"
+                )
+        machine.gpu.alloc("weights", config.spec.total_bytes)
+        machine.gpu.alloc("kv-pool", total_blocks * self.geometry.block_bytes)
         # Reusable host buffers for the per-iteration control traffic.
         self._token_in = machine.host_memory.allocate(4096, "tokens.in", b"\x01" * 8)
         self._token_out = machine.host_memory.allocate(4096, "tokens.out", b"\x02" * 8)
 
         self.swap_out_count = 0
         self.swap_in_count = 0
-        self.iterations = 0
         self.result: Optional[VllmResult] = None
 
     # -- public API -------------------------------------------------------------
@@ -122,7 +123,7 @@ class VllmEngine:
     def _main(self):
         sim = self.machine.sim
         start = sim.now
-        while not self._all_done():
+        while self._future or self.batch.outstanding:
             if sim.now - start > self.config.max_sim_time:
                 break
             self._admit_arrivals()
@@ -132,32 +133,29 @@ class VllmEngine:
                 # One scheduler step on the "serving" telemetry lane.
                 sim.tracer.record("serving.vllm", "step", step_start, sim.now)
             if not made_progress:
-                next_arrival = self._next_arrival_time()
-                if next_arrival is None:
+                if not self._future:
                     break  # Nothing running and nothing coming.
+                next_arrival = self._future[0].request.arrival_time
                 yield sim.timeout(max(next_arrival - sim.now, 1e-6))
         self._finalize(sim.now - start)
 
     def _iteration(self):
         """One scheduler step; returns False when there was no work."""
-        state = self.state
-        geometry = self.geometry
-
-        swapped_in = self._schedule_swap_ins()
-        prefill_groups = self._schedule_admissions()
-        if not state.running:
+        batch = self.batch
+        swapped_in = [(g, self._issue_swap_in(g)) for g in batch.resume()]
+        prefill_groups = batch.admit()
+        if not batch.running:
             return False
-        self.iterations += 1
 
         # Block growth for this decode step; preempt until it fits.
-        yield from self._make_room()
+        yield from batch.make_room(self._swap_out)
 
         # Newly admitted prompts go up as small transfers (decode-step
         # inputs live on the GPU — only fresh prompt tokens cross the
         # bus host→device).
         for group in prefill_groups:
             self.runtime.memcpy_h2d(
-                MemoryChunk(self._token_in.addr, max(4 * group.request.prompt_len, _PAYLOAD_BYTES),
+                MemoryChunk(self._token_in.addr, max(4 * group.prefill_tokens, _PAYLOAD_BYTES),
                             b"\x01" * _PAYLOAD_BYTES, "tokens.in")
             )
         # The batch boundary: everything must be on-device before the
@@ -170,101 +168,27 @@ class VllmEngine:
             if group.swap_region is region:
                 group.swap_region = None
 
-        work = self._step_work(prefill_groups)
+        work = batch.step_work(prefill_groups, self.cost)
         yield self.machine.gpu.compute(work.flops, work.bytes_touched, layers=work.layers)
 
         # Sampled tokens come back as a small transfer (not waited on).
         self.runtime.memcpy_d2h(
-            MemoryChunk(self._token_out.addr, max(4 * state.running_seqs, _PAYLOAD_BYTES),
+            MemoryChunk(self._token_out.addr, max(4 * batch.running_seqs, _PAYLOAD_BYTES),
                         b"\x02" * _PAYLOAD_BYTES, "tokens.out")
         )
 
-        self._advance_generation()
+        batch.advance(self.machine.sim.now)
         return True
-
-    # -- scheduling phases ---------------------------------------------------------
 
     def _admit_arrivals(self) -> None:
         now = self.machine.sim.now
         while self._future and self._future[0].request.arrival_time <= now:
-            self.state.waiting.append(self._future.pop(0))
-
-    def _next_arrival_time(self) -> Optional[float]:
-        if self._future:
-            return self._future[0].request.arrival_time
-        return None
-
-    def _schedule_swap_ins(self):
-        """Resume swapped groups LIFO while their blocks fit.
-
-        Returns ``(group, region)`` pairs; the regions are freed after
-        the batch's synchronization barrier lands the data on-device.
-        """
-        resumed = []
-        state = self.state
-        watermark = int(self.blocks.total_blocks * self.config.resume_watermark)
-        while state.swapped:
-            group = state.swapped[-1]
-            needed = group.blocks_held(self.geometry)
-            if not self.blocks.can_allocate(needed + watermark):
-                break
-            if state.running_seqs + group.request.parallel_n > self.config.max_num_seqs:
-                break
-            state.swapped.pop()
-            self.blocks.allocate(group.owner, needed)
-            region = group.swap_region
-            self._issue_swap_in(group)
-            group.state = GroupState.RUNNING
-            state.running.append(group)
-            resumed.append((group, region))
-        return resumed
-
-    def _schedule_admissions(self) -> List[SequenceGroup]:
-        """FCFS admission of waiting groups (prefill this iteration)."""
-        admitted: List[SequenceGroup] = []
-        state = self.state
-        while state.waiting and not state.swapped:
-            group = state.waiting[0]
-            needed = group.blocks_held(self.geometry)
-            if not self.blocks.can_allocate(needed):
-                break
-            if state.running_seqs + group.request.parallel_n > self.config.max_num_seqs:
-                break
-            state.waiting.pop(0)
-            self.blocks.allocate(group.owner, needed)
-            group.state = GroupState.RUNNING
-            group.first_schedule_time = self.machine.sim.now
-            state.running.append(group)
-            admitted.append(group)
-        return admitted
-
-    def _make_room(self):
-        """Preempt (swap out) until this step's block growth fits."""
-        state = self.state
-        while True:
-            grants = [
-                (g.owner, n) for g in state.running
-                if (n := g.step_block_growth(self.geometry))
-            ]
-            growth = sum(n for _owner, n in grants)
-            if self.blocks.can_allocate(growth) or len(state.running) <= 1:
-                break
-            victim = state.pick_victim()
-            if victim is None:
-                break
-            yield from self._swap_out(victim)
-        # Grant the growth now; the compute step will fill the blocks.
-        for owner, n in grants:
-            self.blocks.allocate(owner, n)
-        return growth
+            self.batch.waiting.append(self._future.pop(0))
 
     # -- swapping -----------------------------------------------------------------------
 
     def _swap_out(self, group: SequenceGroup):
-        state = self.state
-        state.running.remove(group)
         nbytes = group.kv_bytes(self.geometry)
-        group.swap_epoch += 1
         tag = f"kv.{group.owner}.e{group.swap_epoch}"
         payload = self._rng.fork(tag).bytes(_PAYLOAD_BYTES)
         region = self.machine.host_memory.allocate(nbytes, tag=tag)
@@ -274,67 +198,25 @@ class VllmEngine:
         self.machine.gpu._contents[tag] = payload
         handle = self.runtime.memcpy_d2h(MemoryChunk(region.addr, nbytes, payload, tag))
         yield handle.api_done
-        self.blocks.free_owner(group.owner)
-        group.state = GroupState.SWAPPED
-        state.swapped.append(group)
         self.swap_out_count += 1
 
-    def _issue_swap_in(self, group: SequenceGroup) -> TransferHandle:
+    def _issue_swap_in(self, group: SequenceGroup):
+        """Start the H2D of a resumed group; returns the region it
+        consumes (freed after the batch's synchronization barrier)."""
         region = group.swap_region
         if region is None:
             raise RuntimeError(f"{group.owner} swapped without a region")
-        chunk = self.machine.host_memory.chunk_at(region.addr)
-        handle = self.runtime.memcpy_h2d(chunk)
+        self.runtime.memcpy_h2d(self.machine.host_memory.chunk_at(region.addr))
         self.swap_in_count += 1
-        return handle
-
-    # -- compute & progress ------------------------------------------------------------------
-
-    def _step_work(self, prefill_groups: List[SequenceGroup]):
-        from ...models import LayerWork
-
-        prefill_tokens = sum(g.request.prompt_len for g in prefill_groups)
-        decode_groups = [g for g in self.state.running if g not in prefill_groups]
-        decode_seqs = sum(g.request.parallel_n for g in decode_groups)
-        flops = 0.0
-        bytes_touched = 0.0
-        if prefill_tokens:
-            w = self.cost.prefill(prefill_tokens)
-            flops += w.flops
-            bytes_touched += w.bytes_touched
-        if decode_seqs:
-            ctx = mean([float(g.context_len()) for g in decode_groups])
-            w = self.cost.decode_step(decode_seqs, ctx)
-            flops += w.flops
-            bytes_touched += w.bytes_touched
-        return LayerWork(flops, bytes_touched, layers=self.config.spec.n_layers)
-
-    def _advance_generation(self) -> None:
-        now = self.machine.sim.now
-        still_running: List[SequenceGroup] = []
-        for group in self.state.running:
-            group.generated += 1
-            if group.done:
-                group.state = GroupState.FINISHED
-                group.finish_time = now
-                self.blocks.free_owner(group.owner)
-                self.state.finished.append(group)
-            else:
-                still_running.append(group)
-        self.state.running = still_running
+        return region
 
     # -- termination ------------------------------------------------------------------------------
 
-    def _all_done(self) -> bool:
-        state = self.state
-        return not (self._future or state.waiting or state.running or state.swapped)
-
     def _finalize(self, elapsed: float) -> None:
-        latencies = [g.normalized_latency() for g in self.state.finished]
         self.result = VllmResult(
-            normalized_latencies=latencies,
+            normalized_latencies=[g.normalized_latency() for g in self.finished],
             elapsed=elapsed,
             swap_out_count=self.swap_out_count,
             swap_in_count=self.swap_in_count,
-            finished=len(self.state.finished),
+            finished=len(self.finished),
         )

@@ -1,9 +1,15 @@
 """End-to-end cluster runs: completion, shedding, policies, metrics."""
 
+from unittest import mock
+
 import pytest
 
-from repro.cluster import CLUSTER_TRACE, Cluster, run_cluster
+from repro.cluster import CLUSTER_TRACE, Cluster, ClusterRequest, Gateway, run_cluster
 from repro.core import ClusterConfig
+from repro.hw import default_params
+from repro.models import OPT_13B, KvGeometry
+from repro.serving.vllm import BlockManager
+from repro.workloads import Request
 
 
 def small_run(config, rate=3.0, duration=6.0, tenants=3):
@@ -56,6 +62,64 @@ class TestClusterRuns:
         assert result.completed == result.offered
         # Tenant-gateway sessions still run even when replicas skip CC.
         assert result.iv_observed >= 2 * result.completed
+
+
+def budgeted(method, budget=50_000):
+    """``method`` that raises once called more than ``budget`` times."""
+    calls = [0]
+
+    def wrapper(*args):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise RuntimeError(f"{method.__qualname__} called {budget}+ times: the run never settles")
+        return method(*args)
+
+    return wrapper
+
+
+def tiny_replica_run(requests, blocks=200, replicas=1):
+    """Native replicas whose KV pools hold exactly ``blocks`` blocks.
+
+    The run is guarded: a scheduler that loops without ever yielding
+    to the simulator, or a rejection bounced between replicas forever,
+    trips a call budget instead of hanging.
+    """
+    geometry = KvGeometry(OPT_13B, block_size=16)
+    reserve = (default_params().gpu_memory_bytes - OPT_13B.total_bytes
+               - blocks * geometry.block_bytes)
+    cluster = Cluster(ClusterConfig(replicas=replicas, system="native", reserve_bytes=reserve))
+    creqs = [ClusterRequest(r.request_id, "tenant-0", r, r.arrival_time) for r in requests]
+    with mock.patch.object(BlockManager, "can_allocate", budgeted(BlockManager.can_allocate)), \
+            mock.patch.object(Gateway, "on_reject", budgeted(Gateway.on_reject, 100)):
+        return cluster, cluster.run(creqs)
+
+
+class TestKvBudgetEdges:
+    def test_lone_swapped_group_inside_the_watermark_resumes(self):
+        # Request 1 peaks at 199 of 200 blocks: inside the resume
+        # watermark (4 blocks) but within the budget. Once request 0
+        # finishes it is alone, so it must resume despite the watermark.
+        _, result = tiny_replica_run([
+            Request(0, 0.0, 16, 200),
+            Request(1, 1e-4, 3120, 17, parallel_n=2),
+        ])
+        assert result.swap_outs > 0
+        assert result.completed == 2
+        assert result.unfinished == 0
+
+    @pytest.mark.parametrize("replicas, arrival", [(1, 1e-4), (2, 1e-4), (2, 0.01)])
+    def test_request_beyond_the_whole_budget_is_shed(self, replicas, arrival):
+        # Request 1's prompt fits (194 blocks) but prompt + output
+        # (201 blocks) never can: the replica it lands on rejects it at
+        # admission and the gateway sheds it as kv-budget. Arriving at
+        # 0.01 s, after request 0's handshake, least-loaded routing
+        # sends it to the idle replica, which must not bounce it back.
+        cluster, result = tiny_replica_run([
+            Request(0, 0.0, 16, 200),
+            Request(1, arrival, 3104, 100),
+        ], replicas=replicas)
+        assert (result.completed, result.shed, result.unfinished) == (1, 1, 0)
+        assert cluster.gateway.metrics.counter("cluster.gateway.shed.kv-budget").value == 1
 
 
 class TestAdmissionControl:

@@ -3,11 +3,15 @@ pins down: strictly monotone per-key IVs across a crash +
 re-handshake, and rejection of replayed pre-crash ciphertext on the
 post-failover session."""
 
+from unittest import mock
+
 import pytest
 
-from repro.cluster import Cluster, TenantChannel
+from repro.bench.serve import SERVE_RESERVE_BYTES
+from repro.cluster import Cluster, Replica, TenantChannel
 from repro.core import ClusterConfig
 from repro.crypto import AuthenticationError
+from repro.workloads import SHAREGPT_SERVE
 
 
 def failover_run(recover_after=2.0, rate=6.0, duration=8.0):
@@ -72,6 +76,44 @@ class TestFailover:
             keys_e1 = {c.key for c in by_epoch[1]}
             keys_e2 = {c.key for c in by_epoch[2]}
             assert not keys_e1 & keys_e2
+
+
+class TestCrashDuringSwapOut:
+    @staticmethod
+    def squeezed_run(fail_at=None, fail_replica=0):
+        """KV-squeezed ShareGPT serving; returns the result and every
+        swap-out copy's (start, end, replica id)."""
+        config = ClusterConfig(
+            replicas=2, reserve_bytes=SERVE_RESERVE_BYTES, max_outstanding=12,
+            seed=3, fail_at=fail_at, fail_replica=fail_replica, recover_after=1.0,
+        )
+        cluster = Cluster(config)
+        requests = cluster.workload(rate=12, duration=6, trace=SHAREGPT_SERVE)
+        copies = []
+        swap_out = Replica._swap_out
+
+        def timed(self, group):
+            copy = [self.sim.now, None, self.replica_id]
+            copies.append(copy)
+            yield from swap_out(self, group)
+            copy[1] = self.sim.now
+
+        with mock.patch.object(Replica, "_swap_out", timed):
+            return cluster.run(requests), copies
+
+    def test_victim_in_flight_is_failed_over(self):
+        """A crash while a victim's KV is still being copied out must
+        orphan that victim too, or it is never served."""
+        _, copies = self.squeezed_run()
+        start, end, replica_id = copies[0]
+        assert end > start
+        result, crashed = self.squeezed_run(fail_at=(start + end) / 2,
+                                            fail_replica=replica_id)
+        # Same timeline up to the crash, which lands mid-copy.
+        assert crashed[0][0] == start and crashed[0][1] is None
+        assert result.crashes == 1
+        assert result.unfinished == 0
+        assert result.completed + result.shed == result.offered
 
 
 class TestFailoverCryptoInvariants:

@@ -4,6 +4,10 @@ from repro.bench import STRESS_TRACE
 from repro.cluster.routing import AffinityPolicy
 from repro.core import DisaggConfig
 from repro.disagg import DisaggCluster, run_disagg
+from repro.disagg.workers import DisaggRequest
+from repro.hw import get_params
+from repro.models import OPT_13B, KvGeometry
+from repro.workloads import Request
 
 
 class TestDisaggServing:
@@ -119,3 +123,29 @@ class TestHardwarePacks:
         assert (
             fast.fabric.chunk_seconds(True) != default.fabric.chunk_seconds(True)
         )
+
+
+class TestDecodeWorkerKvBudget:
+    def test_over_budget_request_is_shed_without_blocking_the_queue(self):
+        # One monolithic decode worker with a 200-block pool. Request 1
+        # (207 blocks over its prompt+output horizon) can never fit: it
+        # is shed at the first admission after it arrives, while request
+        # 0 still decodes, and request 2 queued behind it is admitted at
+        # once instead of waiting for the batch to drain.
+        geometry = KvGeometry(OPT_13B, block_size=16)
+        reserve = (get_params("h100-cc").gpu_memory_bytes - OPT_13B.total_bytes
+                   - 200 * geometry.block_bytes)
+        config = DisaggConfig(prefill_workers=0, decode_workers=1,
+                              system="native", reserve_bytes=reserve)
+        cluster = DisaggCluster(config)
+        assert cluster.decode_pool[0].batch.blocks.total_blocks == 200
+        requests = [Request(0, 0.0, 16, 200), Request(1, 1e-4, 3200, 100),
+                    Request(2, 2e-4, 16, 10)]
+        creqs = [DisaggRequest(r.request_id, "tenant-0", r, r.arrival_time)
+                 for r in requests]
+        result = cluster.run(creqs)
+        first, big, small = creqs
+        assert (result.completed, result.shed, result.unfinished) == (2, 1, 0)
+        assert big.state == "shed"
+        assert big.finish_time < small.first_token_time
+        assert small.finish_time < first.finish_time

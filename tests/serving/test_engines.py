@@ -21,7 +21,14 @@ from repro.serving import (
     VllmEngine,
 )
 from repro.sim import SeededRng
-from repro.workloads import ALPACA, SHAREGPT, SyntheticShape, poisson_trace, ultrachat_batches
+from repro.workloads import (
+    ALPACA,
+    SHAREGPT,
+    Request,
+    SyntheticShape,
+    poisson_trace,
+    ultrachat_batches,
+)
 
 
 def build(system, enc=1, dec=1):
@@ -139,6 +146,14 @@ class TestVllm:
         machine, runtime = build("w/o CC")
         with pytest.raises(ValueError):
             VllmEngine(machine, runtime, VllmConfig(OPT_30B, []))
+
+    def test_request_beyond_kv_budget_rejected(self):
+        # Its prompt fits, but its output could never fit the whole
+        # budget: refused up front, naming the request.
+        machine, runtime = build("w/o CC")
+        requests = [Request(0, 0.0, 16, 8), Request(7, 0.1, 16, 10**7)]
+        with pytest.raises(ValueError, match="request 7 "):
+            VllmEngine(machine, runtime, VllmConfig(OPT_30B, requests))
 
 
 class TestPeft:

@@ -1,9 +1,9 @@
-"""SequenceGroup and scheduler-state tests."""
+"""SequenceGroup and BatchState tests."""
 
 import pytest
 
 from repro.models import KvGeometry, OPT_30B
-from repro.serving.vllm import GroupState, SchedulerState, SequenceGroup
+from repro.serving.vllm import BatchState, SequenceGroup
 from repro.workloads import Request
 
 
@@ -59,25 +59,45 @@ class TestNormalizedLatency:
             group().normalized_latency()
 
 
+def vllm_state():
+    return BatchState(KvGeometry(OPT_30B, block_size=16), 1000, prefer_started=True)
+
+
 class TestVictimSelection:
     def test_latest_arrival_preempted(self):
-        state = SchedulerState()
+        state = vllm_state()
         early, late = group(0, arrival=1.0), group(1, arrival=5.0)
         early.generated = late.generated = 3
         state.running = [early, late]
         assert state.pick_victim() is late
 
     def test_prefers_groups_with_progress(self):
-        state = SchedulerState()
+        state = vllm_state()
         fresh, started = group(0, arrival=9.0), group(1, arrival=1.0)
         started.generated = 3
         state.running = [fresh, started]
         assert state.pick_victim() is started
 
     def test_empty_returns_none(self):
-        assert SchedulerState().pick_victim() is None
+        assert vllm_state().pick_victim() is None
 
     def test_running_seqs(self):
-        state = SchedulerState()
+        state = vllm_state()
         state.running = [group(0, n=2), group(1, n=6)]
         assert state.running_seqs == 8
+
+
+class TestUnservable:
+    def test_rejects_over_budget_head_and_admits_the_rest(self):
+        rejected = []
+        state = BatchState(KvGeometry(OPT_30B, block_size=16), 10, on_reject=rejected.append)
+        big, small = group(0, prompt=160, output=64), group(1)
+        state.waiting = [big, small]
+        assert state.admit() == [small]
+        assert rejected == [big]
+
+    def test_without_a_handler_rejection_raises(self):
+        state = BatchState(KvGeometry(OPT_30B, block_size=16), 10)
+        state.waiting = [group(7, prompt=160, output=64)]
+        with pytest.raises(ValueError, match="request 7"):
+            state.admit()
